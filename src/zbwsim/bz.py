@@ -4,10 +4,16 @@ Integrates the coupled (x, pi, v, S) first-order system with fixed-step RK4,
 solves the characteristic cubic for the planar rotation frequencies exactly
 and perturbatively, and extracts mode frequencies from simulated v_x(tau).
 
+A phase point is one flat vector of 28 floats: y[0:4] = x, y[4:8] = pi,
+y[8:12] = v and y[12:28] = S^{mu nu} in row-major order.  One private RK4
+driver integrates both the full system (:func:`integrate`, right-hand side
+:func:`bz_rhs`) and its constant-spin reduction (:func:`integrate_reduced`,
+the linear system y' = A y in v_x, v_y and their first two derivatives).
+
 Conventions: metric (+,-,-,-), proper-time derivatives, units with
 hbar = c = m = 1 and the spinor coupling constant set to -1.  The field
-enters through e*B = 2*epsilon (electron: e = -1, B = -2*epsilon > 0 for
-physical epsilon < 0), and s_z is identified with S^{12}.
+enters only through e*B = 2*epsilon (electron: e = -1, B = -2*epsilon > 0
+for physical epsilon < 0), and s_z is identified with S^{12}.
 """
 from __future__ import annotations
 
@@ -21,6 +27,8 @@ from .units import OMEGA_ZBW, DimensionlessParams
 
 TWO_PI = 2.0 * math.pi
 _G = np.array([1.0, -1.0, -1.0, -1.0])  # metric signature diag
+DT_MAX = TWO_PI / (50.0 * OMEGA_ZBW)    # at least 50 steps per trembling period
+BLOWUP = 1e6                            # largest |state component| an integration may reach
 
 
 class IntegrationUnstableError(RuntimeError):
@@ -31,88 +39,13 @@ class ComplexRootsError(ValueError):
     """Characteristic cubic discriminant was not positive."""
 
 
-@dataclass
-class BZState:
-    """Phase point: position, kinetic momentum, velocity, spin tensor."""
-
-    x: np.ndarray   # (4,)
-    pi: np.ndarray  # (4,)
-    v: np.ndarray   # (4,)
-    S: np.ndarray   # (4, 4), antisymmetric
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.x, self.pi, self.v, self.S.ravel()])
-
-    @classmethod
-    def from_flat(cls, y: np.ndarray) -> "BZState":
-        return cls(x=y[0:4].copy(), pi=y[4:8].copy(), v=y[8:12].copy(),
-                   S=y[12:28].reshape(4, 4).copy())
+def _eb(params: DimensionlessParams) -> float:
+    """e*B in the electron convention: e = -1, B = -2*epsilon."""
+    return 2.0 * params.epsilon
 
 
-@dataclass(frozen=True)
-class FieldTensor:
-    """Uniform B along z: the only nonzero components are F^{21} = -F^{12} = B."""
-
-    b: float
-
-    @property
-    def matrix(self) -> np.ndarray:
-        f = np.zeros((4, 4))
-        f[2, 1] = self.b
-        f[1, 2] = -self.b
-        return f
-
-
-def bz_rhs(state: BZState, field: FieldTensor, e: float) -> BZState:
-    """Proper-time derivatives of the coupled Euler-Lagrange system."""
-    v_low = state.v * _G
-    pi_low = state.pi * _G
-    f = field.matrix
-    return BZState(
-        x=state.v.copy(),
-        pi=e * (f @ v_low),
-        v=4.0 * (state.S @ pi_low),
-        S=np.outer(state.pi, state.v) - np.outer(state.v, state.pi),
-    )
-
-
-def field_and_charge(params: DimensionlessParams) -> tuple[FieldTensor, float]:
-    """Electron-convention (F, e) reproducing e*B = 2*epsilon."""
-    e = -1.0
-    return FieldTensor(b=-2.0 * params.epsilon), e
-
-
-def make_initial_state(params: DimensionlessParams) -> BZState:
-    """Rest-frame polarized start that excites all three rotation modes.
-
-    S^{12}(0) = s_z, boost components zero; pi(0) is timelike with
-    pi^2 = m^2 - 2 e B s_z and v^0(0) = m / pi^0(0), so the constants of
-    motion assumed by the characteristic-cubic reduction (pi.v = m and
-    pi^2 - e F.S = m^2) hold exactly along the trajectory.
-    """
-    field, e = field_and_charge(params)
-    s_z = 0.5 * params.spin_sign
-    pi0 = math.sqrt(1.0 - 2.0 * e * field.b * s_z)
-    s = np.zeros((4, 4))
-    s[1, 2] = s_z
-    s[2, 1] = -s_z
-    return BZState(
-        x=np.zeros(4),
-        pi=np.array([pi0, 0.0, 0.0, 0.0]),
-        v=np.array([1.0 / pi0, 1.0, 0.0, 0.0]),
-        S=s,
-    )
-
-
-@dataclass(frozen=True)
-class BZTrajectory:
-    tau: np.ndarray
-    x: np.ndarray   # (N, 4)
-    v: np.ndarray   # (N, 4)
-    S: np.ndarray   # (N, 4, 4)
-
-
-def _rhs_flat(y: np.ndarray, e: float, b: float) -> np.ndarray:
+def bz_rhs(y: np.ndarray, eb: float) -> np.ndarray:
+    """Proper-time derivative of the flat state y at field strength e*B = eb."""
     v = y[8:12]
     s = y[12:28].reshape(4, 4)
     pi = y[4:8]
@@ -120,8 +53,8 @@ def _rhs_flat(y: np.ndarray, e: float, b: float) -> np.ndarray:
     out[0:4] = v
     # e * F^{mu nu} v_nu for the z-directed field
     out[4] = 0.0
-    out[5] = e * b * v[2]   # F^{12} v_2 = (-b)(-v_y)
-    out[6] = -e * b * v[1]  # F^{21} v_1 = b (-v_x)
+    out[5] = eb * v[2]   # e F^{12} v_2 = e (-B)(-v_y)
+    out[6] = -eb * v[1]  # e F^{21} v_1 = e B (-v_x)
     out[7] = 0.0
     out[8:12] = 4.0 * (s @ (pi * _G))
     sd = np.outer(pi, v)
@@ -129,38 +62,67 @@ def _rhs_flat(y: np.ndarray, e: float, b: float) -> np.ndarray:
     return out
 
 
-def integrate(
-    state0: BZState,
-    field: FieldTensor,
-    e: float,
-    tau_max: float,
-    dt: float,
-    blowup: float = 1e6,
-) -> BZTrajectory:
-    """Classic fixed-step fourth-order Runge-Kutta over [0, tau_max]."""
-    if dt > TWO_PI / (50.0 * OMEGA_ZBW):
-        raise ValueError(f"dt = {dt:g} too coarse (need <= {TWO_PI / (50.0 * OMEGA_ZBW):g})")
+def make_initial_state(params: DimensionlessParams) -> np.ndarray:
+    """Rest-frame polarized start that excites all three rotation modes.
+
+    S^{12}(0) = s_z, boost components zero; pi(0) is timelike with
+    pi^2 = m^2 - 2 e B s_z and v^0(0) = m / pi^0(0), so the constants of
+    motion assumed by the characteristic-cubic reduction (pi.v = m and
+    pi^2 - e F.S = m^2) hold exactly along the trajectory.
+    """
+    s_z = 0.5 * params.spin_sign
+    pi0 = math.sqrt(1.0 - 2.0 * _eb(params) * s_z)
+    y = np.zeros(28)
+    y[4] = pi0                # pi = (pi0, 0, 0, 0)
+    y[8:10] = 1.0 / pi0, 1.0  # v = (1 / pi0, 1, 0, 0)
+    y[18], y[21] = s_z, -s_z  # S^{12} = -S^{21} = s_z
+    return y
+
+
+@dataclass(frozen=True)
+class BZTrajectory:
+    """An integrated run; x, pi, v and S are views into one (N, 28) state array."""
+
+    tau: np.ndarray
+    x: np.ndarray   # (N, 4)
+    pi: np.ndarray  # (N, 4)
+    v: np.ndarray   # (N, 4)
+    S: np.ndarray   # (N, 4, 4)
+
+
+def _rk4(rhs, y0: np.ndarray, tau_max: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Classic fixed-step RK4 of y' = rhs(y) over [0, tau_max]; returns (tau, states)."""
+    if not (math.isfinite(dt) and math.isfinite(tau_max)) or dt <= 0.0 or tau_max < 0.0:
+        raise ValueError(f"need finite dt > 0 and tau_max >= 0, got dt = {dt:g}, "
+                         f"tau_max = {tau_max:g}")
+    if dt > DT_MAX:
+        raise ValueError(f"dt = {dt:g} too coarse (need <= {DT_MAX:g})")
     n = int(round(tau_max / dt))
-    y = state0.flat()
-    b = field.b
     tau = dt * np.arange(n + 1)
-    xs = np.empty((n + 1, 4))
-    vs = np.empty((n + 1, 4))
-    ss = np.empty((n + 1, 4, 4))
-    xs[0], vs[0], ss[0] = y[0:4], y[8:12], y[12:28].reshape(4, 4)
-    half = 0.5 * dt
-    sixth = dt / 6.0
+    out = np.empty((n + 1, len(y0)))
+    y = np.asarray(y0, dtype=float)
+    out[0] = y
+    half, sixth = 0.5 * dt, dt / 6.0
     for i in range(n):
-        k1 = _rhs_flat(y, e, b)
-        k2 = _rhs_flat(y + half * k1, e, b)
-        k3 = _rhs_flat(y + half * k2, e, b)
-        k4 = _rhs_flat(y + dt * k3, e, b)
+        k1 = rhs(y)
+        k2 = rhs(y + half * k1)
+        k3 = rhs(y + half * k2)
+        k4 = rhs(y + dt * k3)
         y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if np.max(np.abs(y)) > blowup:
+        if np.max(np.abs(y)) > BLOWUP:
             raise IntegrationUnstableError(f"state blew up at tau = {tau[i + 1]:g}")
-        xs[i + 1], vs[i + 1] = y[0:4], y[8:12]
-        ss[i + 1] = y[12:28].reshape(4, 4)
-    return BZTrajectory(tau=tau, x=xs, v=vs, S=ss)
+        out[i + 1] = y
+    return tau, out
+
+
+def integrate(
+    state0: np.ndarray, params: DimensionlessParams, tau_max: float, dt: float
+) -> BZTrajectory:
+    """Full (x, pi, v, S) system from the flat state0 over [0, tau_max]."""
+    eb = _eb(params)
+    tau, ys = _rk4(lambda y: bz_rhs(y, eb), state0, tau_max, dt)
+    return BZTrajectory(tau=tau, x=ys[:, 0:4], pi=ys[:, 4:8], v=ys[:, 8:12],
+                        S=ys[:, 12:28].reshape(-1, 4, 4))
 
 
 def free_solution(
@@ -189,15 +151,15 @@ class CubicCoefficients:
 
 
 def characteristic_cubic(params: DimensionlessParams) -> CubicCoefficients:
-    """Coefficients in both the raw (m, e, B, s_z) and dimensionless forms."""
+    """Coefficients in both the raw (m, e*B, s_z) and dimensionless forms."""
     eps = params.epsilon
     sgn = params.spin_sign
     c1 = -(OMEGA_ZBW**2) * (1.0 - sgn * 3.0 * eps)
     c0 = eps * OMEGA_ZBW**3
-    field, e = field_and_charge(params)
+    eb = _eb(params)
     s_z = 0.5 * sgn
-    c1_raw = -4.0 * (1.0 - 3.0 * e * s_z * field.b)
-    c0_raw = 4.0 * e * field.b
+    c1_raw = -4.0 * (1.0 - 3.0 * s_z * eb)
+    c0_raw = 4.0 * eb
     if abs(c1 - c1_raw) > 1e-12 * abs(c1) or abs(c0 - c0_raw) > 1e-12 * max(abs(c0), 1e-30):
         raise AssertionError("raw and dimensionless cubic coefficients disagree")
     return CubicCoefficients(c3=1.0, c1=c1, c0=c0, c1_raw=c1_raw, c0_raw=c0_raw)
@@ -263,13 +225,6 @@ def perturbative_roots(params: DimensionlessParams, scheme: str) -> RootSet:
     raise ValueError(f"scheme must be 'rough' or 'accurate', got {scheme!r}")
 
 
-def reduced_third_order_rhs(state: np.ndarray, params: DimensionlessParams) -> np.ndarray:
-    """Derivative of (vx, vy, vx', vy', vx'', vy'') for the constant-spin reduction."""
-    c = characteristic_cubic(params)
-    vx, vy, ax, ay, jx, jy = state
-    return np.array([ax, ay, jx, jy, c.c1 * ax + c.c0 * vy, c.c1 * ay - c.c0 * vx])
-
-
 def reduced_initial_state(params: DimensionlessParams) -> np.ndarray:
     """Reduced-system start matching :func:`make_initial_state` exactly."""
     c = characteristic_cubic(params)
@@ -279,45 +234,32 @@ def reduced_initial_state(params: DimensionlessParams) -> np.ndarray:
 def integrate_reduced(
     state0: np.ndarray, params: DimensionlessParams, tau_max: float, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 on the reduced linear system; returns (tau, states (N, 6))."""
-    n = int(round(tau_max / dt))
-    tau = dt * np.arange(n + 1)
-    out = np.empty((n + 1, 6))
-    y = np.asarray(state0, dtype=float).copy()
-    out[0] = y
-    half, sixth = 0.5 * dt, dt / 6.0
-    for i in range(n):
-        k1 = reduced_third_order_rhs(y, params)
-        k2 = reduced_third_order_rhs(y + half * k1, params)
-        k3 = reduced_third_order_rhs(y + half * k2, params)
-        k4 = reduced_third_order_rhs(y + dt * k3, params)
-        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        out[i + 1] = y
-    return tau, out
+    """RK4 on the reduced linear system; returns (tau, states (N, 6)).
+
+    The state is (vx, vy, ax, ay, jx, jy), v_x and v_y with their first and
+    second derivatives, and the cubic coefficients close it at third order.
+    """
+    c = characteristic_cubic(params)
+    a = np.zeros((6, 6))
+    a[0:4, 2:6] = np.eye(4)
+    a[4, 1], a[4, 2] = c.c0, c.c1   # jx' = c1 ax + c0 vy
+    a[5, 0], a[5, 3] = -c.c0, c.c1  # jy' = c1 ay - c0 vx
+    return _rk4(a.dot, state0, tau_max, dt)
 
 
-def spectral_frequencies(
-    params: DimensionlessParams,
-    tau_max: float,
-    dt: float,
-    modes: str = "all",
-) -> FrequencyFit:
+def spectral_frequencies(params: DimensionlessParams, tau_max: float, dt: float) -> FrequencyFit:
     """Integrate a field run and fit its v_x spectrum against the cubic modes.
 
-    modes="all" fits |omega1|, omega2, |omega3| plus a constant and needs the
-    span to cover a few slow cyclotron-like periods; modes="fast" fits only
-    the two trembling modes and absorbs the unresolved slow mode in a cubic
-    trend, which is what short spans at very small |epsilon| require.
+    A span of at least 2.5 slow cyclotron-like periods fits |omega1|, omega2,
+    |omega3| plus a constant.  A shorter one, as very small |epsilon| needs,
+    fits only the two trembling modes and absorbs the unresolved slow mode in
+    a cubic trend.  Either way freqs[-2:] are omega2 and |omega3|.
     """
-    field, e = field_and_charge(params)
-    traj = integrate(make_initial_state(params), field, e, tau_max, dt)
+    traj = integrate(make_initial_state(params), params, tau_max, dt)
     exact = solve_cubic_exact(characteristic_cubic(params))
-    if modes == "all":
-        seeds = np.abs(exact.as_array())
-        trend = 0
-    elif modes == "fast":
-        seeds = np.array([exact.omega2, abs(exact.omega3)])
-        trend = 3
+    slow_period = TWO_PI / max(2.0 * abs(params.epsilon), 1e-30)
+    if tau_max >= 2.5 * slow_period:
+        seeds, trend = np.abs(exact.as_array()), 0
     else:
-        raise ValueError(f"modes must be 'all' or 'fast', got {modes!r}")
+        seeds, trend = np.array([exact.omega2, abs(exact.omega3)]), 3
     return fit_frequencies(traj.tau, traj.v[:, 1], seeds, trend_degree=trend)

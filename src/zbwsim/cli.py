@@ -97,8 +97,7 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
 
 def _cmd_classical(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    field, e = bz.field_and_charge(params)
-    traj = bz.integrate(bz.make_initial_state(params), field, e, args.tau_max, args.dt)
+    traj = bz.integrate(bz.make_initial_state(params), params, args.tau_max, args.dt)
     if args.out.endswith(".svg"):
         _write(args.out, svgplot.trajectory_svg(
             traj.tau, traj.v[:, 1],

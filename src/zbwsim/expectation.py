@@ -53,7 +53,7 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         dt = np.diff(self.times)
-        if np.any(dt <= 0) or (dt.max() - dt.min()) > 1e-12:
+        if np.any(dt <= 0) or (dt.max() - dt.min()) > 1e-9 * dt.mean():
             raise ValueError("times must be strictly increasing with uniform spacing")
 
 
@@ -140,7 +140,10 @@ def shifted_frequency(params: DimensionlessParams) -> float:
 
 
 def oscillator_terms(params: DimensionlessParams) -> list[OscillatorTerm]:
-    """Planar and axial Fourier terms of <r>(t) at the fixed azimuth phi0."""
+    """Fourier terms of <r>(t) at the fixed azimuth phi0.
+
+    Only the planar rotation contributes: the axial weight J vanishes.
+    """
     omega = shifted_frequency(params)
     phase0 = params.spin_sign * params.phi0  # spin-down enters with -phi
     planar = OscillatorTerm(
@@ -148,11 +151,7 @@ def oscillator_terms(params: DimensionlessParams) -> list[OscillatorTerm]:
         omega=omega,
         phase=np.array([phase0, phase0 - PI / 2.0, 0.0]),
     )
-    # axial weight J vanishes; kept so the z assembly mirrors the planar one
-    axial = OscillatorTerm(
-        amplitude=np.zeros(3), omega=OMEGA_ZBW, phase=np.zeros(3)
-    )
-    return [planar, axial]
+    return [planar]
 
 
 def position_expectation(params: DimensionlessParams, t: float | np.ndarray) -> np.ndarray:
@@ -171,6 +170,8 @@ def quantum_trajectory(params: DimensionlessParams, t_max: float | None = None,
         dt = TWO_PI / (100.0 * OMEGA_ZBW)
     if t_max is None:
         t_max = 100.0 * TWO_PI / OMEGA_ZBW
+    if not (math.isfinite(dt) and math.isfinite(t_max)) or dt <= 0.0 or t_max < 0.0:
+        raise ValueError(f"need finite dt > 0 and t_max >= 0, got dt = {dt:g}, t_max = {t_max:g}")
     n = int(round(t_max / dt)) + 1
     times = dt * np.arange(n)
     return Trajectory(times=times, positions=position_expectation(params, times), params=params)

@@ -11,7 +11,6 @@ particle/antiparticle exchange.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .bz import characteristic_cubic, perturbative_roots, solve_cubic_exact, spectral_frequencies
@@ -142,15 +141,10 @@ def fitted_classical_table(
     cyclotron-like mode, only the two fast modes are fitted and the slow one
     is absorbed into a polynomial trend.
     """
-    slow_period = 2.0 * math.pi / max(2.0 * abs(params.epsilon), 1e-30)
-    modes = "all" if tau_max >= 2.5 * slow_period else "fast"
     fitted: dict[tuple[str, str], float] = {}
     for spin in SPINS:
         p = replace(params, charge="electron", spin=spin)
-        fit = spectral_frequencies(p, tau_max=tau_max, dt=dt, modes=modes)
-        # fit.freqs magnitudes follow the seed order: optionally |omega1|,
-        # then omega2, then |omega3|
-        w2, w3 = (fit.freqs[1], fit.freqs[2]) if modes == "all" else (fit.freqs[0], fit.freqs[1])
+        w2, w3 = spectral_frequencies(p, tau_max=tau_max, dt=dt).freqs[-2:]
         fitted[("electron", spin)] = w2 - OMEGA_ZBW
         fitted[("positron", spin)] = OMEGA_ZBW - w3
     cells = tuple(

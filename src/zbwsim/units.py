@@ -11,7 +11,8 @@ convention.  SI tesla values appear only at the conversion boundary.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 OMEGA_ZBW = 2.0   # 2 m c^2 / hbar
 LAMBDA_C = 1.0    # hbar / (m c)
@@ -32,23 +33,6 @@ SPINS = ("up", "down")
 CHARGES = ("electron", "positron")
 
 TWO_PI = 6.283185307179586
-
-
-@dataclass(frozen=True)
-class NaturalUnits:
-    """The fixed hbar = c = m = 1 convention."""
-
-    hbar: float = 1.0
-    c: float = 1.0
-    m: float = 1.0
-
-    @property
-    def omega_zbw(self) -> float:
-        return 2.0 * self.m * self.c**2 / self.hbar
-
-    @property
-    def lambda_c(self) -> float:
-        return self.hbar / (self.m * self.c)
 
 
 @dataclass(frozen=True)
@@ -77,10 +61,12 @@ class DimensionlessParams:
             raise ValueError(
                 f"|epsilon| = {abs(self.epsilon):g} outside weak-field regime (< {EPSILON_MAX})"
             )
-        if self.r0_over_lambda < R0_MIN:
+        if not (math.isfinite(self.r0_over_lambda) and self.r0_over_lambda >= R0_MIN):
             raise ValueError(
-                f"r0_over_lambda = {self.r0_over_lambda:g} too small (>= {R0_MIN} required)"
+                f"r0_over_lambda = {self.r0_over_lambda:g} must be finite and >= {R0_MIN}"
             )
+        if not math.isfinite(self.phi0):
+            raise ValueError(f"phi0 = {self.phi0:g} must be finite")
         object.__setattr__(self, "phi0", self.phi0 % TWO_PI)
 
     @property

@@ -119,22 +119,20 @@ def test_criterion_4_cubic_roots():
 def test_criterion_5_classical_dynamics_consistency():
     # (a) free-particle RK4 vs analytic over 20 Zbw periods
     p0 = DimensionlessParams(epsilon=0.0)
-    field, e = bz.field_and_charge(p0)
-    st = bz.make_initial_state(p0)
-    a0 = 4.0 * (st.S @ (G * st.pi))
-    traj = bz.integrate(st, field, e, 20.0 * math.pi, 0.003)
-    free_err = float(np.max(np.abs(traj.v - bz.free_solution(st.v, a0, st.pi, traj.tau))))
+    traj = bz.integrate(bz.make_initial_state(p0), p0, 20.0 * math.pi, 0.003)
+    pi0, v0, s0 = traj.pi[0], traj.v[0], traj.S[0]
+    a0 = 4.0 * (s0 @ (G * pi0))
+    free_err = float(np.max(np.abs(traj.v - bz.free_solution(v0, a0, pi0, traj.tau))))
 
     # (b) uniform-B spectral frequencies vs exact cubic roots
     p = DimensionlessParams(epsilon=-5e-3)
-    fit = bz.spectral_frequencies(p, tau_max=2000.0, dt=0.02, modes="all")
+    fit = bz.spectral_frequencies(p, tau_max=2000.0, dt=0.02)  # all three modes
     exact = np.abs(bz.solve_cubic_exact(bz.characteristic_cubic(p)).as_array())
     spec_err = float(np.max(np.abs(fit.freqs - exact) / exact))
 
     # (c) full nonlinear system vs reduced third-order system on v_x
     p2 = DimensionlessParams(epsilon=-1e-4)
-    field2, e2 = bz.field_and_charge(p2)
-    full = bz.integrate(bz.make_initial_state(p2), field2, e2, 10.0 * math.pi, 0.002)
+    full = bz.integrate(bz.make_initial_state(p2), p2, 10.0 * math.pi, 0.002)
     _, red = bz.integrate_reduced(bz.reduced_initial_state(p2), p2, 10.0 * math.pi, 0.002)
     vx_err = float(np.max(np.abs(full.v[:, 1] - red[:, 0])))
 
@@ -194,8 +192,7 @@ def test_criterion_8_zero_field_reductions():
         for ap in symmetry.APPROACHES
         for c in symmetry.shift_table(ap, p).cells
     )
-    field, e = bz.field_and_charge(p)
-    traj = bz.integrate(bz.make_initial_state(p), field, e, 40.0, 0.005)
+    traj = bz.integrate(bz.make_initial_state(p), p, 40.0, 0.005)
     bz_fit = fit_sinusoid(traj.tau, traj.v[:, 1])
     bz_err = abs(bz_fit.omega - 2.0)
     _verdict(

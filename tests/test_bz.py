@@ -15,54 +15,58 @@ def _free_params():
 
 def test_rhs_position_and_momentum():
     params = DimensionlessParams(epsilon=-1e-2)
-    field, e = bz.field_and_charge(params)
-    state = bz.make_initial_state(params)
-    dot = bz.bz_rhs(state, field, e)
-    assert np.allclose(dot.x, state.v)
+    eb = 2.0 * params.epsilon
+    y = bz.make_initial_state(params)
+    dot = bz.bz_rhs(y, eb)
+    assert np.allclose(dot[0:4], y[8:12])
     # initial velocity is along x; pi-dot = e F v picks up the y equation
-    assert dot.pi[0] == 0.0 and dot.pi[3] == 0.0
-    assert dot.pi[2] == pytest.approx(-e * field.b * state.v[1])
+    assert dot[4] == 0.0 and dot[7] == 0.0
+    assert dot[6] == pytest.approx(-eb * y[9])
 
 
 def test_rhs_velocity_from_spin():
-    params = DimensionlessParams(epsilon=0.0)
-    state = bz.make_initial_state(params)
-    dot = bz.bz_rhs(state, bz.FieldTensor(b=0.0), -1.0)
+    y = bz.make_initial_state(DimensionlessParams(epsilon=0.0))
+    dot = bz.bz_rhs(y, 0.0)
     # rest-frame pi with S^{12} only: v-dot = 4 S pi_low = 0
-    assert np.allclose(dot.v, 0.0)
+    assert np.allclose(dot[8:12], 0.0)
     # S-dot = pi (x) v - v (x) pi couples time and space rows only
-    assert dot.S[1, 2] == 0.0
-    assert dot.S[0, 1] == pytest.approx(state.pi[0] * state.v[1])
+    s_dot = dot[12:28].reshape(4, 4)
+    assert s_dot[1, 2] == 0.0
+    assert s_dot[0, 1] == pytest.approx(y[4] * y[9])
 
 
 def test_initial_state_constants_of_motion():
+    """pi.v = m and pi^2 - e F.S = pi^2 + 2 e B S^{12} = m^2 along the whole run."""
     for eps in (-1e-2, -1e-3):
         for spin in ("up", "down"):
             params = DimensionlessParams(epsilon=eps, spin=spin)
-            st = bz.make_initial_state(params)
-            assert float(st.pi @ (G * st.v)) == pytest.approx(1.0, abs=1e-14)
-            assert st.S[1, 2] == 0.5 * params.spin_sign
+            traj = bz.integrate(bz.make_initial_state(params), params, 100.0, 0.02)
+            assert traj.S[0, 1, 2] == 0.5 * params.spin_sign
+            pi_v = np.einsum("ni,i,ni->n", traj.pi, G, traj.v)
+            pi_sq = np.einsum("ni,i,ni->n", traj.pi, G, traj.pi)
+            eb = 2.0 * eps
+            mass_shell = pi_sq + 2.0 * eb * traj.S[:, 1, 2]
+            assert np.max(np.abs(pi_v - 1.0)) <= 1e-9
+            assert np.max(np.abs(mass_shell - 1.0)) <= 1e-9
+
+
+def _free_run(tau_max, dt):
+    params = _free_params()
+    traj = bz.integrate(bz.make_initial_state(params), params, tau_max, dt)
+    pi0, v0, s0 = traj.pi[0], traj.v[0], traj.S[0]
+    a0 = 4.0 * (s0 @ (G * pi0))
+    return traj, bz.free_solution(v0, a0, pi0, traj.tau)
 
 
 def test_free_integration_matches_analytic():
-    params = _free_params()
-    field, e = bz.field_and_charge(params)
-    st = bz.make_initial_state(params)
-    a0 = 4.0 * (st.S @ (G * st.pi))
-    traj = bz.integrate(st, field, e, 20.0 * math.pi, 0.003)
-    ana = bz.free_solution(st.v, a0, st.pi, traj.tau)
+    traj, ana = _free_run(20.0 * math.pi, 0.003)
     assert np.max(np.abs(traj.v - ana)) <= 1e-8
 
 
 def test_integrator_fourth_order_convergence():
-    params = _free_params()
-    field, e = bz.field_and_charge(params)
-    st = bz.make_initial_state(params)
-    a0 = 4.0 * (st.S @ (G * st.pi))
-
     def max_err(dt):
-        traj = bz.integrate(st, field, e, 10.0, dt)
-        return np.max(np.abs(traj.v - bz.free_solution(st.v, a0, st.pi, traj.tau)))
+        traj, ana = _free_run(10.0, dt)
+        return np.max(np.abs(traj.v - ana))
 
     factor = max_err(0.02) / max_err(0.01)
     assert 12.0 <= factor <= 20.0
@@ -70,26 +74,28 @@ def test_integrator_fourth_order_convergence():
 
 def test_spin_antisymmetry_preserved():
     params = DimensionlessParams(epsilon=-1e-2)
-    field, e = bz.field_and_charge(params)
-    traj = bz.integrate(bz.make_initial_state(params), field, e, 50.0, 0.01)
+    traj = bz.integrate(bz.make_initial_state(params), params, 50.0, 0.01)
     asym = np.max(np.abs(traj.S + np.transpose(traj.S, (0, 2, 1))))
     assert asym <= 1e-12
 
 
 def test_integration_blowup_guard():
     params = DimensionlessParams(epsilon=-1e-3)
-    field, e = bz.field_and_charge(params)
-    st = bz.make_initial_state(params)
-    bad = bz.BZState(x=st.x, pi=st.pi * 1e3, v=st.v * 1e3, S=st.S * 1e3)
+    bad = 1e3 * bz.make_initial_state(params)  # x(0) = 0, so only pi, v, S grow
     with pytest.raises(bz.IntegrationUnstableError):
-        bz.integrate(bad, field, e, 50.0, 0.01)
+        bz.integrate(bad, params, 50.0, 0.01)
 
 
 def test_dt_guard():
     params = _free_params()
-    field, e = bz.field_and_charge(params)
-    with pytest.raises(ValueError):
-        bz.integrate(bz.make_initial_state(params), field, e, 10.0, 0.5)
+    for dt in (0.5, 0.0, -0.01, math.nan):
+        with pytest.raises(ValueError):
+            bz.integrate(bz.make_initial_state(params), params, 10.0, dt)
+        with pytest.raises(ValueError):
+            bz.integrate_reduced(bz.reduced_initial_state(params), params, 10.0, dt)
+    for tau_max in (-1.0, math.inf):
+        with pytest.raises(ValueError):
+            bz.integrate(bz.make_initial_state(params), params, tau_max, 0.01)
 
 
 # ------------------------------------------------------------------- cubic
@@ -205,15 +211,14 @@ def test_full_vs_reduced_vx():
     p = DimensionlessParams(epsilon=-1e-4)
     tau_max = 10.0 * math.pi  # 10 Zbw periods
     dt = 0.002
-    field, e = bz.field_and_charge(p)
-    full = bz.integrate(bz.make_initial_state(p), field, e, tau_max, dt)
+    full = bz.integrate(bz.make_initial_state(p), p, tau_max, dt)
     _, reduced = bz.integrate_reduced(bz.reduced_initial_state(p), p, tau_max, dt)
     assert np.max(np.abs(full.v[:, 1] - reduced[:, 0])) <= 1e-6
 
 
 def test_spectral_smoke():
     p = DimensionlessParams(epsilon=-1e-2)
-    fit = bz.spectral_frequencies(p, tau_max=200.0, dt=0.02, modes="fast")
+    fit = bz.spectral_frequencies(p, tau_max=200.0, dt=0.02)  # fast modes + trend
     exact = bz.solve_cubic_exact(bz.characteristic_cubic(p))
     assert fit.freqs[0] == pytest.approx(exact.omega2, rel=1e-4)
     assert fit.freqs[1] == pytest.approx(abs(exact.omega3), rel=1e-4)

@@ -104,6 +104,22 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert err["error"] == "config"
 
 
+@pytest.mark.parametrize("argv", [
+    ["classical", "--dt", "0"],
+    ["classical", "--dt", "-0.01"],
+    ["quantum", "--dt", "0"],
+    ["quantum", "--dt", "nan"],
+])
+def test_invalid_step_exit_code(tmp_path, capsys, argv):
+    rc = main([*argv, "--epsilon", "-1e-3", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "config"
+
+
 def test_bad_flag_exit_code(tmp_path, capsys):
     rc = main(["quantum", "--out", str(tmp_path / "x.csv")])  # missing epsilon/tesla
     assert rc == 2

@@ -108,6 +108,9 @@ def test_fitted_frequency_spin_up_electron():
     p = DimensionlessParams(epsilon=-1e-3, spin="up", charge="electron")
     fit = extract_frequency(quantum_trajectory(p, t_max=200.0))
     assert fit.omega == pytest.approx(2.002, rel=1e-9)
+    # long spans keep uniform sampling within the rounding of dt * arange(n)
+    long_run = quantum_trajectory(p, t_max=1e4)
+    assert len(long_run.times) == round(1e4 / (math.pi / 100.0)) + 1
 
 
 def test_fitted_frequency_spin_down_positron():

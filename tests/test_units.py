@@ -8,7 +8,6 @@ from zbwsim.units import (
     LAMBDA_C,
     OMEGA_ZBW,
     DimensionlessParams,
-    NaturalUnits,
     SIField,
     cyclotron_frequency,
     epsilon_from_tesla,
@@ -17,9 +16,8 @@ from zbwsim.units import (
 
 
 def test_natural_unit_constants():
-    nu = NaturalUnits()
-    assert nu.omega_zbw == OMEGA_ZBW == 2.0
-    assert nu.lambda_c == LAMBDA_C == 1.0
+    assert OMEGA_ZBW == 2.0
+    assert LAMBDA_C == 1.0
 
 
 def test_epsilon_per_tesla_against_bohr_magneton():
@@ -66,6 +64,11 @@ def test_params_validation():
         DimensionlessParams(epsilon=-1e-3, charge="muon")
     with pytest.raises(ValueError):
         DimensionlessParams(epsilon=-1e-3, r0_over_lambda=1.0)
+    # non-finite values fail every comparison, so they need their own check
+    with pytest.raises(ValueError):
+        DimensionlessParams(epsilon=-1e-3, r0_over_lambda=math.nan)
+    with pytest.raises(ValueError):
+        DimensionlessParams(epsilon=-1e-3, phi0=math.nan)
     # boundary is exclusive
     with pytest.raises(ValueError):
         DimensionlessParams(epsilon=-EPSILON_MAX)
