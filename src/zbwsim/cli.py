@@ -8,8 +8,9 @@ Subcommands
     compare    quantum-vs-classical shift report -> JSON or SVG bar chart
     sweep      shift tables over an epsilon list -> CSV, fanned out to workers
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.  Failures
-print one JSON object ({"error": ..., "detail": ...}) to stderr.
+Exit codes: 0 success, 2 configuration or file error, 3 numerical failure or
+out of memory.  Failures print one JSON object ({"error": ..., "detail": ...})
+to stderr.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import numpy as np
 from . import bz, svgplot
 from .expectation import extract_frequency, quantum_trajectory
 from .fitting import FitFailureError
-from .packet import ImaginaryEnergyError, LandauLevel, landau_energy
+from .packet import LandauLevel, landau_energy
 from .symmetry import cp_check, discrepancy_report, shift_table, table_as_dict
 from .units import DimensionlessParams, epsilon_from_tesla
 
@@ -36,12 +37,15 @@ EXIT_NUMERICAL = 3
 # argparse (< 3.12) would otherwise read as an unknown option
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+\.?\d*[eE][-+]?\d+$")
 
-_NUMERICAL_ERRORS = (
-    FitFailureError,
-    bz.IntegrationUnstableError,
-    bz.ComplexRootsError,
-    ImaginaryEnergyError,
-    np.linalg.LinAlgError,
+_NUMERICAL_ERRORS = (FitFailureError, bz.IntegrationUnstableError, bz.ComplexRootsError,
+                     np.linalg.LinAlgError, OverflowError)
+# (exception types, "error" label, exit code); the first match wins, so a
+# ValueError subclass such as ImaginaryEnergyError is a configuration error
+_FAILURES = (
+    (ValueError, "config", EXIT_CONFIG),
+    (OSError, "io", EXIT_CONFIG),
+    (_NUMERICAL_ERRORS, "numerical", EXIT_NUMERICAL),
+    (MemoryError, "memory", EXIT_NUMERICAL),
 )
 
 
@@ -188,9 +192,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usage_error(message: str):
+    raise ValueError(message)
+
+
 def _parser(*args, **kwargs) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(*args, **kwargs)
     p._negative_number_matcher = _NEGATIVE_NUMBER
+    p.error = _usage_error  # reported as one JSON line by main, not as usage text
     return p
 
 
@@ -248,20 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad flags already; normalize other codes
-        return EXIT_CONFIG if exc.code else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except ValueError as exc:
-        print(json.dumps({"error": "config", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
-        print(json.dumps({"error": "numerical", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_NUMERICAL
+    except SystemExit as exc:  # --help
+        return EXIT_CONFIG if exc.code else 0
+    except (ValueError, OSError, MemoryError, *_NUMERICAL_ERRORS) as exc:
+        label, code = next((lb, c) for types, lb, c in _FAILURES if isinstance(exc, types))
+        print(json.dumps({"error": label, "detail": str(exc)}), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

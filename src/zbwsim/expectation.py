@@ -51,11 +51,6 @@ class Trajectory:
     positions: np.ndarray  # (N, 3)
     params: DimensionlessParams
 
-    def __post_init__(self) -> None:
-        dt = np.diff(self.times)
-        if np.any(dt <= 0) or (dt.max() - dt.min()) > 1e-9 * dt.mean():
-            raise ValueError("times must be strictly increasing with uniform spacing")
-
 
 @dataclass(frozen=True)
 class BilinearFactors:
@@ -177,9 +172,9 @@ def quantum_trajectory(params: DimensionlessParams, t_max: float | None = None,
     return Trajectory(times=times, positions=position_expectation(params, times), params=params)
 
 
-def extract_frequency(traj: Trajectory, component: int = 0) -> SinusoidFit:
-    """Single-sinusoid fit of one trajectory component."""
-    return fit_sinusoid(traj.times, traj.positions[:, component])
+def extract_frequency(traj: Trajectory) -> SinusoidFit:
+    """Single-sinusoid fit of the trajectory's x component."""
+    return fit_sinusoid(traj.times, traj.positions[:, 0])
 
 
 def magnetic_moment_expectation(params: DimensionlessParams, t: float | np.ndarray) -> np.ndarray:

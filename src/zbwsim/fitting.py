@@ -1,11 +1,12 @@
-"""Sinusoid frequency estimation by nonlinear least squares.
+"""Sinusoid frequency estimation by variable projection.
 
-Single-tone fits use variable projection: for a trial frequency the amplitude,
-phase and offset are solved linearly, and only the frequency is refined
-nonlinearly.  Multi-tone fits do the same over several frequencies at once,
-optionally with a polynomial trend absorbing unresolved slow components.
-Least-squares fitting resolves frequency shifts far below the DFT bin width,
-which is what the weak-field shifts require.
+For trial frequencies the sinusoid amplitudes and a polynomial trend are
+solved linearly, and only the frequencies are refined nonlinearly (Golub &
+Pereyra, SIAM J. Numer. Anal. 10 (1973) 413).  A single-tone fit is the
+one-frequency, constant-trend case seeded from the periodogram; multi-tone
+fits are seeded by the caller.  Least-squares fitting resolves frequency
+shifts far below the DFT bin width, which is what the weak-field shifts
+require.
 """
 from __future__ import annotations
 
@@ -16,10 +17,11 @@ import numpy as np
 from scipy.optimize import least_squares
 
 TWO_PI = 2.0 * math.pi
+RESIDUAL_TOL = 0.01  # largest RMS residual accepted, as a fraction of the largest amplitude
 
 
 class FitFailureError(RuntimeError):
-    """Residual exceeded the single-sinusoid model tolerance."""
+    """Residual exceeded the sinusoid model tolerance."""
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,18 @@ class FrequencyFit:
     residual_rms: float
 
 
+def _samples(times: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Validated float arrays and their sample spacing."""
+    t = np.asarray(times, dtype=float)
+    y = np.asarray(values, dtype=float)
+    if t.ndim != 1 or t.shape != y.shape or len(t) < 8:
+        raise ValueError("need matching 1-D arrays with at least 8 samples")
+    dt = np.diff(t)
+    if not (dt.min() > 0 and dt.max() - dt.min() <= 1e-9 * dt.mean()):
+        raise ValueError("times must be strictly increasing and uniform")
+    return t, y, float(dt.mean())
+
+
 def _fft_frequency_guess(t: np.ndarray, y: np.ndarray) -> float:
     """Peak of the zero-padded periodogram with parabolic interpolation."""
     dt = t[1] - t[0]
@@ -53,98 +67,69 @@ def _fft_frequency_guess(t: np.ndarray, y: np.ndarray) -> float:
     return TWO_PI * k / (n * dt)
 
 
-def _design_single(omega: float, t: np.ndarray) -> np.ndarray:
-    return np.column_stack([np.sin(omega * t), np.cos(omega * t), np.ones_like(t)])
+def _design(freqs: np.ndarray, t: np.ndarray, trend_degree: int) -> np.ndarray:
+    """cos/sin column pair per frequency, then powers of t scaled to [-1, 1]."""
+    cols = [f(w * t) for w in freqs for f in (np.cos, np.sin)]
+    tm = t / max(-t[0], t[-1])
+    return np.column_stack(cols + [tm**d for d in range(trend_degree + 1)])
 
 
-def fit_sinusoid(
-    times: np.ndarray,
-    values: np.ndarray,
-    omega0: float | None = None,
-    residual_tol: float = 0.01,
-) -> SinusoidFit:
-    """Fit A sin(omega t + phi) + c to a uniformly sampled series.
+def _varpro(t: np.ndarray, y: np.ndarray, seeds: np.ndarray,
+            trend_degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Refine seeds; return (freqs, linear coefficients, amplitudes, residual RMS).
 
-    Raises FitFailureError when the RMS residual exceeds residual_tol times
-    the fitted amplitude (model mismatch, e.g. two-tone input), and
-    ValueError when the sampling is too coarse or the span too short.
+    Raises FitFailureError when the RMS residual exceeds RESIDUAL_TOL times
+    the largest fitted amplitude (model mismatch, e.g. a missing tone).
     """
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if t.ndim != 1 or t.shape != y.shape or len(t) < 8:
-        raise ValueError("need matching 1-D arrays with at least 8 samples")
-    dt = np.diff(t)
-    if dt.min() <= 0 or (dt.max() - dt.min()) > 1e-9 * dt.mean():
-        raise ValueError("times must be strictly increasing and uniform")
-
-    w0 = _fft_frequency_guess(t, y) if omega0 is None else float(omega0)
-
-    def residual(w):
-        dm = _design_single(w[0], t)
+    def residual(freqs):
+        dm = _design(freqs, t, trend_degree)
         coef, *_ = np.linalg.lstsq(dm, y, rcond=None)
         return dm @ coef - y
 
-    sol = least_squares(residual, [w0], xtol=1e-15, ftol=1e-15, gtol=1e-15, method="trf")
-    omega = float(sol.x[0])
-    dm = _design_single(omega, t)
+    sol = least_squares(residual, seeds, xtol=1e-15, ftol=1e-15, gtol=1e-15, method="trf",
+                        x_scale=np.maximum(np.abs(seeds), 1e-3))
+    freqs = np.abs(sol.x)
+    dm = _design(freqs, t, trend_degree)
     coef, *_ = np.linalg.lstsq(dm, y, rcond=None)
-    amplitude = float(math.hypot(coef[0], coef[1]))
-    phase = float(math.atan2(coef[1], coef[0]))
-    offset = float(coef[2])
+    amps = np.hypot(coef[0 : 2 * len(freqs) : 2], coef[1 : 2 * len(freqs) : 2])
     residual_rms = float(np.sqrt(np.mean((dm @ coef - y) ** 2)))
+    if not residual_rms <= RESIDUAL_TOL * amps.max():
+        raise FitFailureError(f"residual rms {residual_rms:g} exceeds {RESIDUAL_TOL:g} x "
+                              f"amplitude {amps.max():g}")
+    return freqs, coef, amps, residual_rms
 
-    period = TWO_PI / abs(omega)
-    if float(dt.mean()) > period / 8.0:
+
+def fit_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
+    """Fit A sin(omega t + phi) + c to a uniformly sampled series.
+
+    Raises ValueError when the sampling is too coarse or the span too short
+    for the periodogram's frequency, before any fitting, and FitFailureError
+    when the residual fails the gate.
+    """
+    t, y, dt = _samples(times, values)
+    w0 = _fft_frequency_guess(t, y)
+    period = TWO_PI / w0
+    if dt > period / 8.0:
         raise ValueError(f"fewer than 8 samples per period {period:g}")
     if t[-1] - t[0] < 3.0 * period:
         raise ValueError(f"span shorter than 3 periods of {period:g}")
-    if residual_rms > residual_tol * amplitude:
-        raise FitFailureError(
-            f"residual rms {residual_rms:g} exceeds {residual_tol:g} x amplitude {amplitude:g}"
-        )
-    return SinusoidFit(omega=abs(omega), amplitude=amplitude, phase=phase, offset=offset,
+    freqs, coef, amps, residual_rms = _varpro(t, y, np.array([w0]), 0)
+    return SinusoidFit(omega=float(freqs[0]), amplitude=float(amps[0]),
+                       phase=math.atan2(coef[0], coef[1]), offset=float(coef[2]),
                        residual_rms=residual_rms)
 
 
-def _design_multi(freqs: np.ndarray, t: np.ndarray, trend_degree: int) -> np.ndarray:
-    cols = []
-    for w in freqs:
-        cols.append(np.cos(w * t))
-        cols.append(np.sin(w * t))
-    tm = t / t[-1]
-    for d in range(trend_degree + 1):
-        cols.append(tm**d)
-    return np.column_stack(cols)
-
-
-def fit_frequencies(
-    times: np.ndarray,
-    values: np.ndarray,
-    freq_seeds: np.ndarray,
-    trend_degree: int = 0,
-) -> FrequencyFit:
+def fit_frequencies(times: np.ndarray, values: np.ndarray, freq_seeds: np.ndarray,
+                    trend_degree: int = 0) -> FrequencyFit:
     """Jointly refine several sinusoid frequencies against a sampled series.
 
     Seeds must be close enough that the linear-in-amplitudes problem at the
     seed frequencies already separates the modes; the nonlinear step then
-    converges to machine-level frequency estimates on noiseless data.
+    converges to machine-level frequency estimates on noiseless data.  Raises
+    ValueError on bad sampling and FitFailureError when the residual fails
+    the gate.
     """
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
+    t, y, _ = _samples(times, values)
     seeds = np.abs(np.asarray(freq_seeds, dtype=float))
-
-    def residual(freqs):
-        dm = _design_multi(freqs, t, trend_degree)
-        coef, *_ = np.linalg.lstsq(dm, y, rcond=None)
-        return dm @ coef - y
-
-    sol = least_squares(
-        residual, seeds, xtol=1e-15, ftol=1e-15, gtol=1e-15, method="trf",
-        x_scale=np.maximum(np.abs(seeds), 1e-3),
-    )
-    freqs = np.abs(sol.x)
-    dm = _design_multi(freqs, t, trend_degree)
-    coef, *_ = np.linalg.lstsq(dm, y, rcond=None)
-    amps = np.hypot(coef[0 : 2 * len(freqs) : 2], coef[1 : 2 * len(freqs) : 2])
-    residual_rms = float(np.sqrt(np.mean((dm @ coef - y) ** 2)))
+    freqs, _, amps, residual_rms = _varpro(t, y, seeds, trend_degree)
     return FrequencyFit(freqs=freqs, amplitudes=amps, residual_rms=residual_rms)

@@ -212,6 +212,8 @@ class LandauLevel:
             raise ValueError(f"l must lie in {{-n, -n+2, ..., n}}, got l={self.l} for n={self.n}")
         if self.s_z not in (0.5, -0.5):
             raise ValueError("s_z must be +1/2 or -1/2")
+        if not (math.isfinite(self.p_z) and math.isfinite(self.ceb)):
+            raise ValueError(f"p_z = {self.p_z:g} and ceb = {self.ceb:g} must be finite")
 
 
 def landau_energy(level: LandauLevel) -> float:
@@ -219,6 +221,8 @@ def landau_energy(level: LandauLevel) -> float:
     e_sq = 1.0 + level.p_z**2 + level.ceb * (level.n - level.l + 1.0 - 2.0 * level.s_z)
     if e_sq < 0.0:
         raise ImaginaryEnergyError(f"E^2 = {e_sq:g} < 0")
+    if e_sq == math.inf:
+        raise OverflowError("E^2 overflows")
     return math.sqrt(e_sq)
 
 

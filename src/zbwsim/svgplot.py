@@ -19,10 +19,13 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _span(lo: float, hi: float) -> tuple[float, float]:
+    """[lo, hi], widened to [lo, lo + 1] when empty (a single sample)."""
+    return (lo, hi) if hi > lo else (lo, lo + 1.0)
+
+
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    """Round tick positions covering [lo, hi]."""
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round tick positions covering a nonempty [lo, hi]."""
     raw = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -80,6 +83,8 @@ class _Canvas:
 def _axes(c: _Canvas, xlo: float, xhi: float, ylo: float, yhi: float,
           xlabel: str, ylabel: str):
     """Draw frame plus ticks; return the data-to-pixel transform."""
+    xlo, xhi = _span(xlo, xhi)
+    ylo, yhi = _span(ylo, yhi)
     px0, px1 = MARGIN, WIDTH - MARGIN // 2
     py0, py1 = HEIGHT - MARGIN, MARGIN // 2 + 16
 

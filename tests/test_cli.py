@@ -1,8 +1,21 @@
+import io
 import json
+import math
+import os
+import resource
+import subprocess
+import sys
+import tempfile
+import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import zbwsim
 from zbwsim.cli import main
 from zbwsim.fitting import fit_sinusoid
 
@@ -104,25 +117,71 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert err["error"] == "config"
 
 
-@pytest.mark.parametrize("argv", [
-    ["classical", "--dt", "0"],
-    ["classical", "--dt", "-0.01"],
-    ["quantum", "--dt", "0"],
-    ["quantum", "--dt", "nan"],
-])
-def test_invalid_step_exit_code(tmp_path, capsys, argv):
-    rc = main([*argv, "--epsilon", "-1e-3", "--out", str(tmp_path / "x.csv")])
-    assert rc == 2
-    err = capsys.readouterr().err
+def _one_error_line(err: str) -> dict:
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "config"
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("argv", [
+    ["classical", "--epsilon", "-1e-3", "--dt", "0"],
+    ["classical", "--epsilon", "-1e-3", "--dt", "-0.01"],
+    ["quantum", "--epsilon", "-1e-3", "--dt", "0"],
+    ["quantum", "--epsilon", "-1e-3", "--dt", "nan"],
+    ["landau", "--n", "0", "--l", "0", "--ceb", "nan"],
+    ["landau", "--n", "0", "--l", "0", "--ceb", "0.01", "--pz", "inf"],
+])
+def test_invalid_step_exit_code(tmp_path, capsys, argv):
+    rc = main([*argv, "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert _one_error_line(capsys.readouterr().err)["error"] == "config"
+
+
+def test_zero_span_outputs(tmp_path, capsys):
+    for tau_max in ("0", "0.004"):  # one sample: tau_max below dt/2
+        svg = tmp_path / f"v{tau_max}.svg"
+        assert main(["classical", "--epsilon", "-1e-3", "--tau-max", tau_max,
+                     "--out", str(svg)]) == 0
+        assert ET.parse(svg).getroot().tag.endswith("svg")
+    csv = tmp_path / "q.csv"
+    assert main(["quantum", "--epsilon", "-1e-3", "--t-max", "0", "--out", str(csv)]) == 0
+    assert len(csv.read_text().splitlines()) == 2  # header + the t = 0 row
+    rc = main(["quantum", "--epsilon", "-1e-3", "--t-max", "0", "--fit", "--out", str(csv)])
+    assert rc == 2
+    assert "at least 8 samples" in _one_error_line(capsys.readouterr().err)["detail"]
+
+
+def test_unwritable_output_exit_code(tmp_path, capsys):
+    rc = main(["roots", "--epsilon", "-1e-3", "--out", str(tmp_path / "missing" / "x.json")])
+    assert rc == 2
+    assert _one_error_line(capsys.readouterr().err)["error"] == "io"
+
+
+def _cap_address_space():
+    cap = 1 << 30  # far below the petabytes the spans below ask for
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize("argv", [
+    ["classical", "--tau-max", "1e15", "--dt", "0.01"],
+    ["quantum", "--t-max", "1e15"],
+])
+def test_huge_span_exit_code(tmp_path, argv):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(zbwsim.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zbwsim.cli", *argv, "--epsilon", "-1e-3",
+         "--out", str(tmp_path / "x.csv")],
+        preexec_fn=_cap_address_space, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert _one_error_line(proc.stderr)["error"] == "memory"
 
 
 def test_bad_flag_exit_code(tmp_path, capsys):
     rc = main(["quantum", "--out", str(tmp_path / "x.csv")])  # missing epsilon/tesla
     assert rc == 2
+    assert _one_error_line(capsys.readouterr().err)["error"] == "config"
 
 
 def test_tesla_flag(tmp_path, capsys):
@@ -130,3 +189,75 @@ def test_tesla_flag(tmp_path, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["epsilon"] == pytest.approx(-1.13275e-10, rel=1e-4)
+
+
+# one value at a time is swapped for one of these to probe the input checks
+_SPECIAL = [0.0, -1.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324]
+
+
+@st.composite
+def _argv(draw):
+    """A valid argv for one subcommand, often with one float swapped for a special value.
+
+    Spans stay short (tau <= 5, t_max <= 50, dt >= 0.005) so every run takes
+    well under a second.
+    """
+    def fl(lo, hi):
+        return draw(st.floats(lo, hi))
+
+    cmd = draw(st.sampled_from(["roots", "landau", "classical", "quantum", "compare"]))
+    if cmd == "landau":
+        n = draw(st.integers(0, 3))
+        args = {"--n": n, "--l": draw(st.sampled_from(range(-n, n + 1, 2))),
+                "--sz": draw(st.sampled_from([0.5, -0.5])), "--pz": fl(-10.0, 10.0),
+                "--ceb": fl(-1.0, 1.0)}
+    elif draw(st.booleans()):
+        args = {"--epsilon": fl(-0.1, 0.1)}
+    else:
+        args = {"--tesla": fl(0.0, 1e9)}
+    if cmd in ("roots", "classical", "quantum"):
+        args["--spin"] = draw(st.sampled_from(["up", "down"]))
+    if cmd == "roots":
+        args["--method"] = draw(st.sampled_from(["exact", "rough", "accurate"]))
+    if cmd == "classical":
+        args.update({"--tau-max": fl(0.0, 5.0), "--dt": fl(0.005, 0.07)})
+    if cmd == "quantum":
+        args.update({"--charge": draw(st.sampled_from(["electron", "positron"])),
+                     "--t-max": fl(0.0, 50.0), "--dt": fl(0.005, 0.07),
+                     "--r0": fl(10.0, 1e4), "--phi0": fl(-10.0, 10.0)})
+        if draw(st.booleans()):
+            args["--fit"] = None
+    floats = [k for k, v in args.items() if isinstance(v, float)]
+    if draw(st.booleans()):
+        args[draw(st.sampled_from(floats))] = draw(st.sampled_from(_SPECIAL))
+    argv = [cmd]
+    for k, v in args.items():
+        argv += [k] if v is None else [k, repr(v) if isinstance(v, float) else str(v)]
+    suffixes = [".csv", ".svg", ".json"] + ([None] if cmd in ("roots", "landau") else [])
+    return argv, draw(st.sampled_from(suffixes))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_argv())
+@example((["classical", "--epsilon", "-1e-3", "--tau-max", "0"], ".svg"))
+@example((["landau", "--n", "0", "--l", "0", "--ceb", "nan"], None))
+@example((["roots", "--epsilon", "-inf"], None))
+@example((["classical", "--epsilon", "-1e-3", "--tau-max", "1e308"], ".csv"))
+def test_cli_exit_contract(case):
+    argv, suffix = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as d, redirect_stdout(out), redirect_stderr(err):
+        if suffix is not None:
+            argv = [*argv, "--out", os.path.join(d, "out" + suffix)]
+        rc = main(argv)
+    assert rc in (0, 2, 3)
+    if rc:
+        assert "error" in _one_error_line(err.getvalue())
+    else:
+        assert err.getvalue() == ""
+        if out.getvalue():
+            json.loads(out.getvalue(), parse_constant=_reject_constant)

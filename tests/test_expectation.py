@@ -18,7 +18,8 @@ from zbwsim.expectation import (
     shifted_frequency,
     spin_interpretation,
 )
-from zbwsim.fitting import FitFailureError, fit_sinusoid
+from zbwsim import fitting
+from zbwsim.fitting import FitFailureError, fit_frequencies, fit_sinusoid
 from zbwsim.packet import GaussianProfile, KFactors, MomentumPoint, reduced_packet_amplitudes
 from zbwsim.units import DimensionlessParams
 
@@ -148,6 +149,8 @@ def test_fit_sinusoid_self_consistency():
     t = np.arange(0, 50, 0.01)
     fit = fit_sinusoid(t, np.sin(2.0 * t))
     assert fit.omega == pytest.approx(2.0, abs=1e-8)
+    t = np.linspace(-50.0, 0.0, 5001)  # times ending at 0 still scale the trend columns
+    assert fit_sinusoid(t, np.sin(2.0 * t)).omega == pytest.approx(2.0, abs=1e-8)
 
 
 def test_fit_sinusoid_shifted_tone():
@@ -166,12 +169,38 @@ def test_fit_sinusoid_rejects_two_tone():
         fit_sinusoid(t, y)
 
 
-def test_fit_sinusoid_sampling_guards():
+def test_fit_sinusoid_sampling_guards(monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("sampling must be checked before fitting")
+
+    monkeypatch.setattr(fitting, "least_squares", no_fit)
     with pytest.raises(ValueError):
         fit_sinusoid(np.arange(0, 100, 4.0), np.sin(2.0 * np.arange(0, 100, 4.0)))
-    t = np.arange(0, 4, 0.01)  # just over one period of omega=2
-    with pytest.raises(ValueError):
+    t = np.arange(0, 100, 0.4)  # 7.85 samples per period of omega=2
+    with pytest.raises(ValueError, match="8 samples per period"):
         fit_sinusoid(t, np.sin(2.0 * t))
+    t = np.arange(0, 4, 0.01)  # just over one period of omega=2
+    with pytest.raises(ValueError, match="3 periods"):
+        fit_sinusoid(t, np.sin(2.0 * t))
+    with pytest.raises(ValueError, match="at least 8 samples"):
+        fit_sinusoid(np.zeros(1), np.zeros(1))
+
+
+def test_fit_frequencies_residual_gate():
+    t = np.arange(0, 100, 0.01)
+    y = np.sin(2.0 * t) + 0.8 * np.sin(3.1 * t)
+    fit = fit_frequencies(t, y, [2.0, 3.1])
+    assert fit.freqs == pytest.approx([2.0, 3.1], rel=1e-12)
+    with pytest.raises(FitFailureError):
+        fit_frequencies(t, y, [2.0])
+
+
+def test_fit_frequencies_sampling_guards():
+    t = np.arange(0, 100, 0.01)
+    with pytest.raises(ValueError, match="uniform"):
+        fit_frequencies(t**1.01, np.sin(2.0 * t), [2.0])
+    with pytest.raises(ValueError, match="at least 8 samples"):
+        fit_frequencies(t[:7], np.sin(2.0 * t[:7]), [2.0])
 
 
 # ---------------------------------------------------------- magnetic moment

@@ -168,6 +168,11 @@ def test_landau_validation():
         LandauLevel(n=1, l=-1, p_z=0.0, s_z=0.3, ceb=0.0)
     with pytest.raises(ImaginaryEnergyError):
         landau_energy(LandauLevel(n=1, l=-1, p_z=0.0, s_z=-0.5, ceb=-0.5))
+    for p_z, ceb in ((0.0, math.nan), (math.inf, 0.01), (math.nan, 0.01), (0.0, -math.inf)):
+        with pytest.raises(ValueError):
+            LandauLevel(n=0, l=0, p_z=p_z, s_z=0.5, ceb=ceb)
+    with pytest.raises(OverflowError):
+        landau_energy(LandauLevel(n=0, l=0, p_z=0.0, s_z=-0.5, ceb=1e308))
 
 
 def test_weak_field_frequencies():
