@@ -5,10 +5,12 @@ solves the characteristic cubic for the planar rotation frequencies exactly
 and perturbatively, and extracts mode frequencies from simulated v_x(tau).
 
 A phase point is one flat vector of 28 floats: y[0:4] = x, y[4:8] = pi,
-y[8:12] = v and y[12:28] = S^{mu nu} in row-major order.  One private RK4
-driver integrates both the full system (:func:`integrate`, right-hand side
-:func:`bz_rhs`) and its constant-spin reduction (:func:`integrate_reduced`,
-the linear system y' = A y in v_x, v_y and their first two derivatives).
+y[8:12] = v and y[12:28] = S^{mu nu} in row-major order; a batch of runs is
+a (B, 28) array.  The right-hand side :func:`bz_rhs` is one constant bilinear
+form, y L + (y_I * y_J) Q, with only L depending on the field.  One private
+RK4 driver integrates both the full system (:func:`integrate`, any leading
+batch shape) and its constant-spin reduction (:func:`integrate_reduced`, the
+linear system y' = A y in v_x, v_y and their first two derivatives).
 
 Conventions: metric (+,-,-,-), proper-time derivatives, units with
 hbar = c = m = 1 and the spinor coupling constant set to -1.  The field
@@ -18,12 +20,12 @@ for physical epsilon < 0), and s_z is identified with S^{12}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .fitting import FrequencyFit, fit_frequencies
-from .units import OMEGA_ZBW, DimensionlessParams
+from .units import OMEGA_ZBW, SPINS, DimensionlessParams, step_count
 
 TWO_PI = 2.0 * math.pi
 _G = np.array([1.0, -1.0, -1.0, -1.0])  # metric signature diag
@@ -44,22 +46,46 @@ def _eb(params: DimensionlessParams) -> float:
     return 2.0 * params.epsilon
 
 
-def bz_rhs(y: np.ndarray, eb: float) -> np.ndarray:
-    """Proper-time derivative of the flat state y at field strength e*B = eb."""
-    v = y[8:12]
-    s = y[12:28].reshape(4, 4)
-    pi = y[4:8]
-    out = np.empty(28)
-    out[0:4] = v
-    # e * F^{mu nu} v_nu for the z-directed field
-    out[4] = 0.0
-    out[5] = eb * v[2]   # e F^{12} v_2 = e (-B)(-v_y)
-    out[6] = -eb * v[1]  # e F^{21} v_1 = e B (-v_x)
-    out[7] = 0.0
-    out[8:12] = 4.0 * (s @ (pi * _G))
-    sd = np.outer(pi, v)
-    out[12:28] = (sd - sd.T).ravel()
-    return out
+def _bilinear_terms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index pairs (I, J) and weights Q of the quadratic part of the right-hand side.
+
+    v'^a = 4 S^{ab} G_bb pi^b takes the 16 products S^{ab} pi^b; S'^{ab} =
+    pi^a v^b - pi^b v^a takes the 12 products pi^a v^b with a != b, each
+    entering S'^{ab} with +1 and S'^{ba} with -1.  Every weight is a signed
+    power of two, so each term is its rounded product times an exact factor.
+    """
+    pairs = [(a, b) for a in range(4) for b in range(4)]
+    off = [(a, b) for a, b in pairs if a != b]
+    i = [12 + 4 * a + b for a, b in pairs] + [4 + a for a, _ in off]
+    j = [4 + b for _, b in pairs] + [8 + b for _, b in off]
+    q = np.zeros((len(i), 28))
+    for k, (a, b) in enumerate(pairs):
+        q[k, 8 + a] = 4.0 * _G[b]
+    for k, (a, b) in enumerate(off, start=len(pairs)):
+        q[k, 12 + 4 * a + b], q[k, 12 + 4 * b + a] = 1.0, -1.0
+    return np.array(i), np.array(j), q
+
+
+_I, _J, _Q = _bilinear_terms()
+
+
+def linear_part(eb: float) -> np.ndarray:
+    """The 28x28 matrix L of the linear terms x' = v and pi' = e F v (row = source)."""
+    lin = np.zeros((28, 28))
+    lin[8:12, 0:4] = np.eye(4)
+    # e F^{mu nu} v_nu for the z-directed field: pi'^1 = e (-B)(-v_y), pi'^2 = e B (-v_x)
+    lin[10, 5] = eb
+    lin[9, 6] = -eb
+    return lin
+
+
+def bz_rhs(y: np.ndarray, lin: np.ndarray) -> np.ndarray:
+    """Proper-time derivative of flat states y of shape (..., 28).
+
+    lin is :func:`linear_part` at the run's e*B; the rest is the constant
+    bilinear form of :func:`_bilinear_terms`.
+    """
+    return y @ lin + (y[..., _I] * y[..., _J]) @ _Q
 
 
 def make_initial_state(params: DimensionlessParams) -> np.ndarray:
@@ -81,26 +107,30 @@ def make_initial_state(params: DimensionlessParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BZTrajectory:
-    """An integrated run; x, pi, v and S are views into one (N, 28) state array."""
+    """An integrated run; x, pi, v and S are views into one (N, ..., 28) state array.
+
+    A single start of shape (28,) gives x, pi, v of shape (N, 4) and S of
+    shape (N, 4, 4); a batch of shape (B, 28) gives (N, B, 4) and (N, B, 4, 4).
+    """
 
     tau: np.ndarray
-    x: np.ndarray   # (N, 4)
-    pi: np.ndarray  # (N, 4)
-    v: np.ndarray   # (N, 4)
-    S: np.ndarray   # (N, 4, 4)
+    x: np.ndarray
+    pi: np.ndarray
+    v: np.ndarray
+    S: np.ndarray
 
 
 def _rk4(rhs, y0: np.ndarray, tau_max: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Classic fixed-step RK4 of y' = rhs(y) over [0, tau_max]; returns (tau, states)."""
-    if not (math.isfinite(dt) and math.isfinite(tau_max)) or dt <= 0.0 or tau_max < 0.0:
-        raise ValueError(f"need finite dt > 0 and tau_max >= 0, got dt = {dt:g}, "
-                         f"tau_max = {tau_max:g}")
+    """Classic fixed-step RK4 of y' = rhs(y) over [0, tau_max]; returns (tau, states).
+
+    y0 may carry leading batch axes; the states have shape (n + 1,) + y0.shape.
+    """
     if dt > DT_MAX:
         raise ValueError(f"dt = {dt:g} too coarse (need <= {DT_MAX:g})")
-    n = int(round(tau_max / dt))
+    n = step_count(tau_max, dt, "tau_max")
     tau = dt * np.arange(n + 1)
-    out = np.empty((n + 1, len(y0)))
     y = np.asarray(y0, dtype=float)
+    out = np.empty((n + 1,) + y.shape)
     out[0] = y
     half, sixth = 0.5 * dt, dt / 6.0
     for i in range(n):
@@ -118,11 +148,11 @@ def _rk4(rhs, y0: np.ndarray, tau_max: float, dt: float) -> tuple[np.ndarray, np
 def integrate(
     state0: np.ndarray, params: DimensionlessParams, tau_max: float, dt: float
 ) -> BZTrajectory:
-    """Full (x, pi, v, S) system from the flat state0 over [0, tau_max]."""
-    eb = _eb(params)
-    tau, ys = _rk4(lambda y: bz_rhs(y, eb), state0, tau_max, dt)
-    return BZTrajectory(tau=tau, x=ys[:, 0:4], pi=ys[:, 4:8], v=ys[:, 8:12],
-                        S=ys[:, 12:28].reshape(-1, 4, 4))
+    """Full (x, pi, v, S) system from flat state0 of shape (28,) or (B, 28) over [0, tau_max]."""
+    lin = linear_part(_eb(params))
+    tau, ys = _rk4(lambda y: bz_rhs(y, lin), state0, tau_max, dt)
+    return BZTrajectory(tau=tau, x=ys[..., 0:4], pi=ys[..., 4:8], v=ys[..., 8:12],
+                        S=ys[..., 12:28].reshape(ys.shape[:-1] + (4, 4)))
 
 
 def free_solution(
@@ -247,19 +277,26 @@ def integrate_reduced(
     return _rk4(a.dot, state0, tau_max, dt)
 
 
-def spectral_frequencies(params: DimensionlessParams, tau_max: float, dt: float) -> FrequencyFit:
-    """Integrate a field run and fit its v_x spectrum against the cubic modes.
+def spectral_frequencies(
+    params: DimensionlessParams, tau_max: float, dt: float
+) -> tuple[FrequencyFit, ...]:
+    """Integrate both spins' field runs in one batch and fit each v_x spectrum.
 
-    A span of at least 2.5 slow cyclotron-like periods fits |omega1|, omega2,
-    |omega3| plus a constant.  A shorter one, as very small |epsilon| needs,
-    fits only the two trembling modes and absorbs the unresolved slow mode in
-    a cubic trend.  Either way freqs[-2:] are omega2 and |omega3|.
+    Returns one fit per spin, in SPINS order.  A span of at least 2.5 slow
+    cyclotron-like periods fits |omega1|, omega2, |omega3| plus a constant.
+    A shorter one, as very small |epsilon| needs, fits only the two trembling
+    modes and absorbs the unresolved slow mode in a cubic trend.  Either way
+    freqs[-2:] are omega2 and |omega3|.
     """
-    traj = integrate(make_initial_state(params), params, tau_max, dt)
-    exact = solve_cubic_exact(characteristic_cubic(params))
+    runs = [replace(params, spin=spin) for spin in SPINS]
+    traj = integrate(np.stack([make_initial_state(p) for p in runs]), params, tau_max, dt)
     slow_period = TWO_PI / max(2.0 * abs(params.epsilon), 1e-30)
-    if tau_max >= 2.5 * slow_period:
-        seeds, trend = np.abs(exact.as_array()), 0
-    else:
-        seeds, trend = np.array([exact.omega2, abs(exact.omega3)]), 3
-    return fit_frequencies(traj.tau, traj.v[:, 1], seeds, trend_degree=trend)
+    fits = []
+    for k, p in enumerate(runs):
+        exact = solve_cubic_exact(characteristic_cubic(p))
+        if tau_max >= 2.5 * slow_period:
+            seeds, trend = np.abs(exact.as_array()), 0
+        else:
+            seeds, trend = np.array([exact.omega2, abs(exact.omega3)]), 3
+        fits.append(fit_frequencies(traj.tau, traj.v[:, k, 1], seeds, trend_degree=trend))
+    return tuple(fits)

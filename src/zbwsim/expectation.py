@@ -23,7 +23,7 @@ from .packet import (
     packet_norm_constant,
     reduced_packet_amplitudes,
 )
-from .units import LAMBDA_C, OMEGA_ZBW, DimensionlessParams, cyclotron_frequency
+from .units import LAMBDA_C, OMEGA_ZBW, DimensionlessParams, cyclotron_frequency, step_count
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -165,10 +165,7 @@ def quantum_trajectory(params: DimensionlessParams, t_max: float | None = None,
         dt = TWO_PI / (100.0 * OMEGA_ZBW)
     if t_max is None:
         t_max = 100.0 * TWO_PI / OMEGA_ZBW
-    if not (math.isfinite(dt) and math.isfinite(t_max)) or dt <= 0.0 or t_max < 0.0:
-        raise ValueError(f"need finite dt > 0 and t_max >= 0, got dt = {dt:g}, t_max = {t_max:g}")
-    n = int(round(t_max / dt)) + 1
-    times = dt * np.arange(n)
+    times = dt * np.arange(step_count(t_max, dt, "t_max") + 1)
     return Trajectory(times=times, positions=position_expectation(params, times), params=params)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .bz import characteristic_cubic, perturbative_roots, solve_cubic_exact, spectral_frequencies
-from .expectation import extract_frequency, quantum_trajectory, shifted_frequency
+from .expectation import extract_frequency, quantum_trajectory
 from .units import OMEGA_ZBW, CHARGES, SPINS, DimensionlessParams, cyclotron_frequency
 
 APPROACHES = ("quantum", "classical_accurate", "classical_rough")
@@ -82,7 +82,8 @@ def shift_table(approach: str, params: DimensionlessParams) -> ShiftTable:
     for charge, spin in CELL_ORDER:
         p = replace(params, charge=charge, spin=spin)
         if approach == "quantum":
-            delta = shifted_frequency(p) - OMEGA_ZBW
+            # shifted_frequency(p) - OMEGA_ZBW, exactly; + 0.0 turns -0.0 at epsilon = 0 into 0.0
+            delta = p.spin_sign * p.charge_sign * cyclotron_frequency(p) + 0.0
         elif approach == "classical_accurate":
             delta = _classical_shift(p, "exact")
         else:
@@ -135,16 +136,15 @@ def fitted_classical_table(
 ) -> ShiftTable:
     """Classical shift table from spectral fits of integrated trajectories.
 
-    Only two field runs (spin up, spin down) are needed: each supplies the
-    particle cell from its positive fast mode and the antiparticle cell from
-    its negative one.  When the span is too short to resolve the slow
-    cyclotron-like mode, only the two fast modes are fitted and the slow one
-    is absorbed into a polynomial trend.
+    One batched integration of the two field runs (spin up, spin down) is
+    needed: each run supplies the particle cell from its positive fast mode
+    and the antiparticle cell from its negative one.  When the span is too
+    short to resolve the slow cyclotron-like mode, only the two fast modes
+    are fitted and the slow one is absorbed into a polynomial trend.
     """
     fitted: dict[tuple[str, str], float] = {}
-    for spin in SPINS:
-        p = replace(params, charge="electron", spin=spin)
-        w2, w3 = spectral_frequencies(p, tau_max=tau_max, dt=dt).freqs[-2:]
+    for spin, fit in zip(SPINS, spectral_frequencies(params, tau_max=tau_max, dt=dt)):
+        w2, w3 = fit.freqs[-2:]
         fitted[("electron", spin)] = w2 - OMEGA_ZBW
         fitted[("positron", spin)] = OMEGA_ZBW - w3
     cells = tuple(

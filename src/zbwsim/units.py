@@ -12,6 +12,7 @@ convention.  SI tesla values appear only at the conversion boundary.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 OMEGA_ZBW = 2.0   # 2 m c^2 / hbar
@@ -107,3 +108,19 @@ def tesla_from_epsilon(epsilon: float) -> SIField:
 def cyclotron_frequency(params: DimensionlessParams) -> float:
     """omega_c = -epsilon * omega_zbw in natural units; >= 0 for epsilon <= 0."""
     return -params.epsilon * OMEGA_ZBW
+
+
+def step_count(span: float, dt: float, span_name: str) -> int:
+    """Number of dt steps that cover [0, span], after checking both.
+
+    Raises ValueError unless dt > 0 and span >= 0 are finite, and
+    OverflowError when no array of that many float64 samples has a size.
+    """
+    if not (math.isfinite(dt) and math.isfinite(span)) or dt <= 0.0 or span < 0.0:
+        raise ValueError(f"need finite dt > 0 and {span_name} >= 0, got dt = {dt:g}, "
+                         f"{span_name} = {span:g}")
+    steps = span / dt
+    if not steps < sys.maxsize / 8:
+        raise OverflowError(f"{span_name} / dt = {span:g} / {dt:g} = {steps:g} steps, "
+                            "more than a float64 array can hold")
+    return int(round(steps))

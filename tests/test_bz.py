@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from zbwsim import bz
+from zbwsim import bz, symmetry
 from zbwsim.units import DimensionlessParams
 
 G = np.array([1.0, -1.0, -1.0, -1.0])
@@ -17,7 +18,7 @@ def test_rhs_position_and_momentum():
     params = DimensionlessParams(epsilon=-1e-2)
     eb = 2.0 * params.epsilon
     y = bz.make_initial_state(params)
-    dot = bz.bz_rhs(y, eb)
+    dot = bz.bz_rhs(y, bz.linear_part(eb))
     assert np.allclose(dot[0:4], y[8:12])
     # initial velocity is along x; pi-dot = e F v picks up the y equation
     assert dot[4] == 0.0 and dot[7] == 0.0
@@ -26,13 +27,65 @@ def test_rhs_position_and_momentum():
 
 def test_rhs_velocity_from_spin():
     y = bz.make_initial_state(DimensionlessParams(epsilon=0.0))
-    dot = bz.bz_rhs(y, 0.0)
+    dot = bz.bz_rhs(y, bz.linear_part(0.0))
     # rest-frame pi with S^{12} only: v-dot = 4 S pi_low = 0
     assert np.allclose(dot[8:12], 0.0)
     # S-dot = pi (x) v - v (x) pi couples time and space rows only
     s_dot = dot[12:28].reshape(4, 4)
     assert s_dot[1, 2] == 0.0
     assert s_dot[0, 1] == pytest.approx(y[4] * y[9])
+
+
+def _rhs_reference(y, eb):
+    """Component-wise right-hand side of one flat state, the reference for bz_rhs."""
+    v, pi, s = y[8:12], y[4:8], y[12:28].reshape(4, 4)
+    out = np.empty(28)
+    out[0:4] = v
+    out[4:8] = 0.0, eb * v[2], -eb * v[1], 0.0
+    out[8:12] = 4.0 * (s @ (pi * G))
+    sd = np.outer(pi, v)
+    out[12:28] = (sd - sd.T).ravel()
+    return out
+
+
+def test_rhs_matches_componentwise_reference():
+    rng = np.random.default_rng(11)
+    eb = -0.13
+    lin = bz.linear_part(eb)
+    for shape in ((28,), (3, 28)):
+        y = rng.standard_normal(shape)
+        # fixed from the dtype: a few roundings of products of two state entries
+        tol = 16.0 * np.finfo(y.dtype).eps * (1.0 + np.max(np.abs(y))) ** 2
+        dot = bz.bz_rhs(y, lin)
+        assert dot.shape == shape
+        assert np.max(np.abs(dot - np.apply_along_axis(_rhs_reference, -1, y, eb))) <= tol
+
+
+def test_batched_integration_matches_single_runs():
+    p = DimensionlessParams(epsilon=-1e-2)
+    starts = [bz.make_initial_state(replace(p, spin=spin)) for spin in ("up", "down")]
+    batch = bz.integrate(np.stack(starts), p, 20.0, 0.02)  # 1000 steps
+    assert batch.v.shape == (1001, 2, 4) and batch.S.shape == (1001, 2, 4, 4)
+    for k, y0 in enumerate(starts):
+        single = bz.integrate(y0, p, 20.0, 0.02)
+        assert single.v.shape == (1001, 4) and single.S.shape == (1001, 4, 4)
+        for name in ("x", "pi", "v", "S"):
+            diff = getattr(batch, name)[:, k] - getattr(single, name)
+            assert np.max(np.abs(diff)) <= 1e-13, name
+
+
+def test_fitted_table_integrates_once_per_epsilon(monkeypatch):
+    starts = []
+    integrate = bz.integrate
+
+    def counting(state0, *args, **kwargs):
+        starts.append(np.shape(state0))
+        return integrate(state0, *args, **kwargs)
+
+    monkeypatch.setattr(bz, "integrate", counting)
+    for eps in (-1e-2, -2e-2):
+        symmetry.fitted_classical_table(DimensionlessParams(epsilon=eps), tau_max=20.0, dt=0.02)
+    assert starts == [(2, 28), (2, 28)]
 
 
 def test_initial_state_constants_of_motion():
@@ -218,7 +271,9 @@ def test_full_vs_reduced_vx():
 
 def test_spectral_smoke():
     p = DimensionlessParams(epsilon=-1e-2)
-    fit = bz.spectral_frequencies(p, tau_max=200.0, dt=0.02)  # fast modes + trend
-    exact = bz.solve_cubic_exact(bz.characteristic_cubic(p))
-    assert fit.freqs[0] == pytest.approx(exact.omega2, rel=1e-4)
-    assert fit.freqs[1] == pytest.approx(abs(exact.omega3), rel=1e-4)
+    fits = bz.spectral_frequencies(p, tau_max=200.0, dt=0.02)  # fast modes + trend
+    assert len(fits) == 2
+    for spin, fit in zip(("up", "down"), fits):
+        exact = bz.solve_cubic_exact(bz.characteristic_cubic(replace(p, spin=spin)))
+        assert fit.freqs[0] == pytest.approx(exact.omega2, rel=1e-4)
+        assert fit.freqs[1] == pytest.approx(abs(exact.omega3), rel=1e-4)

@@ -72,6 +72,11 @@ def test_compare_report_verdicts(tmp_path):
     report = json.loads(_read(out))
     assert report["cp"]["quantum"] == "cp_respected"
     assert report["cp"]["classical_accurate"] == "cp_violated"
+    # 2 + omega_c rounds to 2 here; the quantum shifts must still be +-omega_c,
+    # not 0.0 with an infinite relative disagreement
+    assert main(["compare", "--epsilon", "-8e-17", "--out", str(out)]) == 0
+    report = json.loads(_read(out), parse_constant=_reject_constant)
+    assert report["cp"]["quantum"] == "cp_respected"
 
 
 def test_landau_json(capsys):
@@ -131,11 +136,20 @@ def _one_error_line(err: str) -> dict:
     ["quantum", "--epsilon", "-1e-3", "--dt", "nan"],
     ["landau", "--n", "0", "--l", "0", "--ceb", "nan"],
     ["landau", "--n", "0", "--l", "0", "--ceb", "0.01", "--pz", "inf"],
+    ["classical", "--epsilon", "-1e-3", "--tau-max", "1e308", "--dt", "0.01"],
+    ["quantum", "--epsilon", "-1e-3", "--t-max", "1e308"],
+    ["classical", "--epsilon", "-1e-3", "--tau-max", "3e16", "--dt", "0.01"],
 ])
 def test_invalid_step_exit_code(tmp_path, capsys, argv):
     rc = main([*argv, "--out", str(tmp_path / "x.csv")])
-    assert rc == 2
-    assert _one_error_line(capsys.readouterr().err)["error"] == "config"
+    err = _one_error_line(capsys.readouterr().err)
+    if {"1e308", "3e16"} & set(argv):  # finite spans with more steps than an array can hold
+        assert (rc, err["error"]) == (3, "numerical")
+        span = "tau_max" if argv[0] == "classical" else "t_max"
+        assert err["detail"].startswith(f"{span} / dt = ")
+        assert err["detail"].endswith("steps, more than a float64 array can hold")
+    else:
+        assert (rc, err["error"]) == (2, "config")
 
 
 def test_zero_span_outputs(tmp_path, capsys):

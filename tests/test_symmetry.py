@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from zbwsim import symmetry
@@ -42,6 +43,11 @@ def test_cp_verdict_quantum():
     assert rep.verdict == "cp_respected"
     assert rep.spin_flip_antisymmetric and rep.charge_conjugation_antisymmetric
     assert rep.asymmetry_ratio == pytest.approx(1.0, abs=1e-6)
+    # the cells are exactly +-omega_c, so no field is too weak for the verdict
+    for eps in [*-np.logspace(-2, -12, 21), -8e-17]:
+        rep = symmetry.cp_check(
+            symmetry.shift_table("quantum", DimensionlessParams(epsilon=float(eps))))
+        assert rep.verdict == "cp_respected" and rep.asymmetry_ratio == 1.0, eps
 
 
 def test_cp_verdict_classical_accurate():
