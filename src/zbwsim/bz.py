@@ -176,23 +176,15 @@ class CubicCoefficients:
     c3: float
     c1: float
     c0: float
-    c1_raw: float
-    c0_raw: float
 
 
 def characteristic_cubic(params: DimensionlessParams) -> CubicCoefficients:
-    """Coefficients in both the raw (m, e*B, s_z) and dimensionless forms."""
+    """Dimensionless coefficients; in raw form c1 = -4(1 - 3 s_z e*B), c0 = 4 e*B."""
     eps = params.epsilon
     sgn = params.spin_sign
     c1 = -(OMEGA_ZBW**2) * (1.0 - sgn * 3.0 * eps)
     c0 = eps * OMEGA_ZBW**3
-    eb = _eb(params)
-    s_z = 0.5 * sgn
-    c1_raw = -4.0 * (1.0 - 3.0 * s_z * eb)
-    c0_raw = 4.0 * eb
-    if abs(c1 - c1_raw) > 1e-12 * abs(c1) or abs(c0 - c0_raw) > 1e-12 * max(abs(c0), 1e-30):
-        raise AssertionError("raw and dimensionless cubic coefficients disagree")
-    return CubicCoefficients(c3=1.0, c1=c1, c0=c0, c1_raw=c1_raw, c0_raw=c0_raw)
+    return CubicCoefficients(c3=1.0, c1=c1, c0=c0)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from . import bz, svgplot
 from .expectation import extract_frequency, quantum_trajectory
 from .fitting import FitFailureError
 from .packet import LandauLevel, landau_energy
-from .symmetry import cp_check, discrepancy_report, shift_table, table_as_dict
+from .symmetry import cp_check, discrepancy_report, shift_table
 from .units import DimensionlessParams, epsilon_from_tesla
 
 EXIT_CONFIG = 2

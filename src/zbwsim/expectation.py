@@ -8,6 +8,7 @@ and (positron, down), s = -1 otherwise.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,12 +17,10 @@ import numpy as np
 from .fitting import FitFailureError, SinusoidFit, fit_sinusoid
 from .packet import (
     GaussianProfile,
-    KFactors,
     MomentumPoint,
     gaussian_profile_value,
     k_factors,
     packet_norm_constant,
-    reduced_packet_amplitudes,
 )
 from .units import LAMBDA_C, OMEGA_ZBW, DimensionlessParams, cyclotron_frequency, step_count
 
@@ -66,16 +65,25 @@ class AmplitudeCoefficient:
     kind: str  # "planar" | "axial"
 
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def momentum_grid(pi0: float, n_theta: int = N_THETA, n_u: int = N_U, u_max: float = U_MAX):
     """(pi, theta, weight) meshes for d^3pi = pi^2 sin(theta) dpi dtheta dphi.
 
     The weight includes pi^2 sin(theta) and the radial/polar Gauss-Legendre
     weights, but not the 2*pi azimuthal factor.
     """
-    xu, wu = np.polynomial.legendre.leggauss(n_u)
+    xu, wu = _leggauss(n_u)
     u = 0.5 * u_max * (xu + 1.0)
     wu = 0.5 * u_max * wu * pi0  # dpi = pi0 du
-    xt, wt = np.polynomial.legendre.leggauss(n_theta)
+    xt, wt = _leggauss(n_theta)
     theta = 0.5 * PI * (xt + 1.0)
     wt = 0.5 * PI * wt
     pi_m, th_m = np.meshgrid(pi0 * u, theta, indexing="ij")
@@ -113,9 +121,9 @@ def amplitude_coefficients_quadrature(params: DimensionlessParams) -> tuple[floa
     g = GaussianProfile.for_packet_width(params.r0_over_lambda)
     pi_m, th_m, _ = momentum_grid(g.pi0)
     # radial/polar weights without the pi^2 sin(theta) volume factor
-    xu, wu = np.polynomial.legendre.leggauss(N_U)
+    _, wu = _leggauss(N_U)
     wu = 0.5 * U_MAX * wu * g.pi0
-    xt, wt = np.polynomial.legendre.leggauss(N_THETA)
+    _, wt = _leggauss(N_THETA)
     wt = 0.5 * PI * wt
     w2 = np.outer(wu, wt)
     f2 = g.value(pi_m) ** 2
@@ -243,36 +251,56 @@ ALPHA = [
 ]
 
 
-def _alpha_bilinear(spinors: np.ndarray) -> np.ndarray:
-    """Re(c^dag alpha_i c) for an array of 4-spinors (..., 4); returns (..., 3)."""
-    a, b, c, d = (spinors[..., i] for i in range(4))
-    bx = 2.0 * np.real(np.conj(a) * d + np.conj(b) * c)
-    by = 2.0 * (np.imag(np.conj(a) * d) + np.imag(np.conj(c) * b))
-    bz = 2.0 * (np.real(np.conj(a) * c) - np.real(np.conj(b) * d))
-    return np.stack([bx, by, bz], axis=-1)
+def _alpha_pair(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Complex c1^dag alpha_i c2 for arrays of 4-spinors (..., 4); returns (..., 3)."""
+    a1, b1, e1, d1 = (np.conj(c1[..., i]) for i in range(4))
+    a2, b2, e2, d2 = (c2[..., i] for i in range(4))
+    return np.stack(
+        [
+            a1 * d2 + b1 * e2 + e1 * b2 + d1 * a2,
+            1j * (-a1 * d2 + b1 * e2 - e1 * b2 + d1 * a2),
+            a1 * e2 - b1 * d2 + e1 * a2 - d1 * b2,
+        ],
+        axis=-1,
+    )
+
+
+def _azimuth_sum(c0: np.ndarray, c1: np.ndarray, n_phi: int) -> np.ndarray:
+    """Sum of (2*pi/n_phi) c^dag alpha c over n_phi azimuth nodes, c = c0 + c1 e^{i phi}.
+
+    Expanding the bilinear leaves only e^{0} and e^{i phi} terms, so the sum is
+    S0 (c0^dag alpha c0 + c1^dag alpha c1) + 2 Re(S1 c0^dag alpha c1) with
+    S_k = (2*pi/n_phi) sum_phi e^{i k phi} taken on the same nodes.
+    """
+    phis = TWO_PI * np.arange(n_phi) / n_phi
+    s0 = (TWO_PI / n_phi) * n_phi
+    s1 = (TWO_PI / n_phi) * np.sum(np.exp(1j * phis))
+    diag = _alpha_pair(c0, c0).real + _alpha_pair(c1, c1).real
+    return s0 * diag + 2.0 * np.real(s1 * _alpha_pair(c0, c1))
 
 
 def drift_velocity(params: DimensionlessParams, n_phi: int = 64) -> np.ndarray:
-    """Linear drift term of <r-dot>; vanishes for the localized initial state."""
+    """Linear drift term of <r-dot>; vanishes for the localized initial state.
+
+    Only pi_+ = pi sin(theta) e^{i phi} carries the azimuth, so each spinor is
+    c0 + c1 e^{i phi} on the (pi, theta) grid and the azimuth sum is closed.
+    """
     g = GaussianProfile.for_packet_width(params.r0_over_lambda)
-    k = k_factors(params)
+    kk = k_factors(params).k
     pi_m, th_m, w_m = momentum_grid(g.pi0)
-    phis = TWO_PI * np.arange(n_phi) / n_phi
-    f = g.value(pi_m)[..., None] + 0.0 * phis
-    pz = (pi_m * np.cos(th_m))[..., None] + 0.0 * phis
-    pp = (pi_m * np.sin(th_m))[..., None] * np.exp(1j * phis)
-    zero = np.zeros_like(pp)
-    kk = k.k
-    spinors = np.stack(
-        [
-            np.stack([f + 0j, zero, kk * pz * f + 0j, kk * pp * f], axis=-1),  # pos_up
-            np.stack([zero, zero, -kk * pz * f + 0j, zero], axis=-1),          # neg_up
-            np.stack([zero, zero, zero, -kk * pp * f], axis=-1),               # neg_down
-        ]
-    )
-    dens = _alpha_bilinear(spinors).sum(axis=0)  # (nu, nt, nphi, 3)
-    w = w_m[..., None, None] * (TWO_PI / n_phi)
-    return np.sum(w * dens, axis=(0, 1, 2))
+    f = g.value(pi_m)
+    kz = kk * pi_m * np.cos(th_m) * f
+    kp = kk * pi_m * np.sin(th_m) * f
+    # labels pos_up, neg_up, neg_down; spinor = c0 + c1 e^{i phi}, each (3, nu, nt, 4)
+    c0 = np.zeros((3,) + f.shape + (4,), dtype=complex)
+    c1 = np.zeros_like(c0)
+    c0[0, ..., 0] = f
+    c0[0, ..., 2] = kz
+    c0[1, ..., 2] = -kz
+    c1[0, ..., 3] = kp
+    c1[2, ..., 3] = -kp
+    dens = _azimuth_sum(c0, c1, n_phi).sum(axis=0)  # (nu, nt, 3)
+    return np.sum(w_m[..., None] * dens, axis=(0, 1))
 
 
 def packet_normalization(params: DimensionlessParams) -> float:

@@ -9,11 +9,11 @@ grids live in :mod:`zbwsim.expectation`; momenta are commuting numbers here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .units import OMEGA_ZBW, DimensionlessParams
+from .units import DimensionlessParams
 
 PI = math.pi
 

@@ -8,7 +8,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from zbwsim import bz, symmetry
 from zbwsim.expectation import (

@@ -154,11 +154,13 @@ def test_dt_guard():
 # ------------------------------------------------------------------- cubic
 
 def test_cubic_coefficient_forms_agree():
-    # the constructor asserts raw-vs-dimensionless agreement to 1e-12
+    # raw form in (m, e*B, s_z): e = -1, B = -2*epsilon, so e*B = 2*epsilon
     for eps in (-1e-2, -1e-3, -1e-4):
-        for spin in ("up", "down"):
+        for spin, s_z in (("up", 0.5), ("down", -0.5)):
             c = bz.characteristic_cubic(DimensionlessParams(epsilon=eps, spin=spin))
-            assert c.c1 == c.c1_raw and c.c0 == c.c0_raw
+            eb = 2.0 * eps
+            assert c.c1 == -4.0 * (1.0 - 3.0 * s_z * eb)
+            assert c.c0 == 4.0 * eb
 
 
 def test_cubic_free_limit():
@@ -207,7 +209,7 @@ def test_vieta_identities_random_epsilon():
 
 def test_complex_roots_error():
     # c1 > 0 makes the cubic monotone with a single real root
-    c = bz.CubicCoefficients(c3=1.0, c1=4.0, c0=0.1, c1_raw=4.0, c0_raw=0.1)
+    c = bz.CubicCoefficients(c3=1.0, c1=4.0, c0=0.1)
     with pytest.raises(bz.ComplexRootsError):
         bz.solve_cubic_exact(c)
 

@@ -1,10 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zbwsim
+from zbwsim import expectation
 from zbwsim.expectation import (
     ALPHA,
+    _alpha_pair,
+    _azimuth_sum,
+    _leggauss,
     amplitude_coefficients,
     amplitude_coefficients_quadrature,
     azimuthal_position_integral,
@@ -12,6 +21,7 @@ from zbwsim.expectation import (
     drift_velocity,
     extract_frequency,
     magnetic_moment_expectation,
+    momentum_grid,
     packet_normalization,
     position_expectation,
     quantum_trajectory,
@@ -20,7 +30,13 @@ from zbwsim.expectation import (
 )
 from zbwsim import fitting
 from zbwsim.fitting import FitFailureError, fit_frequencies, fit_sinusoid
-from zbwsim.packet import GaussianProfile, KFactors, MomentumPoint, reduced_packet_amplitudes
+from zbwsim.packet import (
+    GaussianProfile,
+    KFactors,
+    MomentumPoint,
+    k_factors,
+    reduced_packet_amplitudes,
+)
 from zbwsim.units import DimensionlessParams
 
 K_FREE = KFactors(k1=0.5, k2=0.5)
@@ -266,6 +282,92 @@ def test_azimuthal_cancellation():
 def test_drift_velocity_vanishes():
     p = DimensionlessParams(epsilon=-1e-3, r0_over_lambda=100.0)
     assert np.max(np.abs(drift_velocity(p))) <= 1e-8
+
+
+def _random_spinors(rng, shape):
+    return rng.normal(size=shape + (4,)) + 1j * rng.normal(size=shape + (4,))
+
+
+def test_alpha_pair_matches_alpha_matrices():
+    rng = np.random.default_rng(5)
+    c1, c2 = _random_spinors(rng, (20,)), _random_spinors(rng, (20,))
+    pair = _alpha_pair(c1, c2)
+    for n in range(20):
+        for i in range(3):
+            assert pair[n, i] == pytest.approx(np.vdot(c1[n], ALPHA[i] @ c2[n]), abs=1e-13)
+
+
+@pytest.mark.parametrize("n_phi", [1, 3, 64])
+def test_azimuth_sum_matches_node_sum(n_phi):
+    """The closed pair form equals the sum over the azimuth nodes it replaces.
+
+    n_phi = 1 keeps the e^{i phi} cross term whole, so the factoring itself is
+    checked, not only its cancellation.
+    """
+    rng = np.random.default_rng(6)
+    c0, c1 = _random_spinors(rng, (7,)), _random_spinors(rng, (7,))
+    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    c = c0[:, None, :] + c1[:, None, :] * np.exp(1j * phis)[:, None]
+    dens = np.einsum("npi,kij,npj->nk", c.conj(), np.array(ALPHA), c).real
+    brute = (2.0 * math.pi / n_phi) * dens
+    np.testing.assert_allclose(_azimuth_sum(c0, c1, n_phi), brute, rtol=1e-12, atol=0.0)
+
+
+def _drift_reference(params, n_phi=64):
+    """The drift as a full (label, pi, theta, phi, spinor) array summed over phi."""
+    g = GaussianProfile.for_packet_width(params.r0_over_lambda)
+    k = k_factors(params)
+    pi_m, th_m, w_m = momentum_grid(g.pi0)
+    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    f = g.value(pi_m)[..., None] + 0.0 * phis
+    pz = (pi_m * np.cos(th_m))[..., None] + 0.0 * phis
+    pp = (pi_m * np.sin(th_m))[..., None] * np.exp(1j * phis)
+    zero = np.zeros_like(pp)
+    kk = k.k
+    spinors = np.stack(
+        [
+            np.stack([f + 0j, zero, kk * pz * f + 0j, kk * pp * f], axis=-1),  # pos_up
+            np.stack([zero, zero, -kk * pz * f + 0j, zero], axis=-1),          # neg_up
+            np.stack([zero, zero, zero, -kk * pp * f], axis=-1),               # neg_down
+        ]
+    )
+    dens = _alpha_pair(spinors, spinors).real.sum(axis=0)  # (nu, nt, nphi, 3)
+    w = w_m[..., None, None] * (2.0 * math.pi / n_phi)
+    return np.sum(w * dens, axis=(0, 1, 2))
+
+
+@pytest.mark.parametrize("r0", [10.0, 100.0, 1000.0])
+@pytest.mark.parametrize("spin", ["up", "down"])
+@pytest.mark.parametrize("charge", ["electron", "positron"])
+def test_drift_velocity_matches_azimuth_grid(r0, spin, charge):
+    p = DimensionlessParams(epsilon=-1e-3, spin=spin, charge=charge, r0_over_lambda=r0)
+    assert np.max(np.abs(drift_velocity(p) - _drift_reference(p))) <= 1e-15
+
+
+def test_leggauss_cache_is_shared_and_read_only():
+    x, w = _leggauss(expectation.N_U)
+    assert _leggauss(expectation.N_U)[0] is x and _leggauss(expectation.N_U)[1] is w
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_leggauss_cache_changes_no_quadrature(monkeypatch):
+    params = [DimensionlessParams(epsilon=eps, spin=spin, r0_over_lambda=r0)
+              for eps, spin, r0 in ((-1e-3, "up", 100.0), (-1e-2, "down", 10.0))]
+    cached = [(amplitude_coefficients_quadrature(p), packet_normalization(p)) for p in params]
+    monkeypatch.setattr(expectation, "_leggauss", np.polynomial.legendre.leggauss)
+    fresh = [(amplitude_coefficients_quadrature(p), packet_normalization(p)) for p in params]
+    assert cached == fresh
+
+
+def test_leggauss_cache_fills_on_first_use():
+    env = dict(os.environ, PYTHONPATH=str(Path(zbwsim.__file__).parents[1]))
+    code = ("import zbwsim.cli, zbwsim.expectation as e; "
+            "print(e._leggauss.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "0"
 
 
 def test_packet_normalization_quadrature():
