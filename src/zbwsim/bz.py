@@ -6,11 +6,14 @@ and perturbatively, and extracts mode frequencies from simulated v_x(tau).
 
 A phase point is one flat vector of 28 floats: y[0:4] = x, y[4:8] = pi,
 y[8:12] = v and y[12:28] = S^{mu nu} in row-major order; a batch of runs is
-a (B, 28) array.  The right-hand side :func:`bz_rhs` is one constant bilinear
-form, y L + (y_I * y_J) Q, with only L depending on the field.  One private
-RK4 driver integrates both the full system (:func:`integrate`, any leading
-batch shape) and its constant-spin reduction (:func:`integrate_reduced`, the
-linear system y' = A y in v_x, v_y and their first two derivatives).
+a (B, 28) array.  Integration appends a constant 1.0 to each phase point,
+so the whole right-hand side :func:`bz_rhs` is one quadratic form
+(z_I * z_J) Q in the 29 slots: the products S pi and pi v give v' and S',
+the products v * 1 give x' = v and pi' = e F v, and only the two e*B weights
+of Q depend on the field.  One private RK4 driver integrates both the full
+system (:func:`integrate`, any leading batch shape) and its constant-spin
+reduction (:func:`integrate_reduced`, the linear system y' = A y in v_x, v_y
+and their first two derivatives).
 
 Conventions: metric (+,-,-,-), proper-time derivatives, units with
 hbar = c = m = 1 and the spinor coupling constant set to -1.  The field
@@ -46,46 +49,60 @@ def _eb(params: DimensionlessParams) -> float:
     return 2.0 * params.epsilon
 
 
-def _bilinear_terms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index pairs (I, J) and weights Q of the quadratic part of the right-hand side.
+_ONE = 28     # index of the constant 1.0 that integration appends to a phase point
+_XV = 16 + 12  # row of the first v^a * 1 product, after the S pi and pi v products
+
+
+def _products() -> tuple[np.ndarray, int, np.ndarray]:
+    """Gather indices IJ (I then J, K each) and field-free weights Q of the right-hand side.
 
     v'^a = 4 S^{ab} G_bb pi^b takes the 16 products S^{ab} pi^b; S'^{ab} =
     pi^a v^b - pi^b v^a takes the 12 products pi^a v^b with a != b, each
-    entering S'^{ab} with +1 and S'^{ba} with -1.  Every weight is a signed
-    power of two, so each term is its rounded product times an exact factor.
+    entering S'^{ab} with +1 and S'^{ba} with -1; x'^a = v^a takes the 4
+    products v^a * 1 with the constant slot, which :func:`quadratic_form`
+    also weights by e*B for pi' = e F v.  Every output column has nonzero
+    weights on one kind of product only, and every field-free weight is a
+    signed power of two, so each term is its rounded product times an exact
+    factor.
     """
     pairs = [(a, b) for a in range(4) for b in range(4)]
     off = [(a, b) for a, b in pairs if a != b]
-    i = [12 + 4 * a + b for a, b in pairs] + [4 + a for a, _ in off]
-    j = [4 + b for _, b in pairs] + [8 + b for _, b in off]
-    q = np.zeros((len(i), 28))
+    i = [12 + 4 * a + b for a, b in pairs] + [4 + a for a, _ in off] + [8, 9, 10, 11]
+    j = [4 + b for _, b in pairs] + [8 + b for _, b in off] + [_ONE] * 4
+    q = np.zeros((len(i), _ONE + 1))
     for k, (a, b) in enumerate(pairs):
         q[k, 8 + a] = 4.0 * _G[b]
     for k, (a, b) in enumerate(off, start=len(pairs)):
         q[k, 12 + 4 * a + b], q[k, 12 + 4 * b + a] = 1.0, -1.0
-    return np.array(i), np.array(j), q
+    for a in range(4):
+        q[_XV + a, a] = 1.0
+    return np.array(i + j), len(i), q
 
 
-_I, _J, _Q = _bilinear_terms()
+_IJ, _K, _Q0 = _products()
 
 
-def linear_part(eb: float) -> np.ndarray:
-    """The 28x28 matrix L of the linear terms x' = v and pi' = e F v (row = source)."""
-    lin = np.zeros((28, 28))
-    lin[8:12, 0:4] = np.eye(4)
-    # e F^{mu nu} v_nu for the z-directed field: pi'^1 = e (-B)(-v_y), pi'^2 = e B (-v_x)
-    lin[10, 5] = eb
-    lin[9, 6] = -eb
-    return lin
+def quadratic_form(eb: float) -> np.ndarray:
+    """Weights Q of :func:`bz_rhs` at e*B, one row per product and one column per slot.
 
-
-def bz_rhs(y: np.ndarray, lin: np.ndarray) -> np.ndarray:
-    """Proper-time derivative of flat states y of shape (..., 28).
-
-    lin is :func:`linear_part` at the run's e*B; the rest is the constant
-    bilinear form of :func:`_bilinear_terms`.
+    e F^{mu nu} v_nu for the z-directed field gives pi'^1 = e (-B)(-v_y) and
+    pi'^2 = e B (-v_x), the products v^2 * 1 and v^1 * 1 weighted by +-e*B.
     """
-    return y @ lin + (y[..., _I] * y[..., _J]) @ _Q
+    q = _Q0.copy()
+    q[_XV + 2, 5] = eb
+    q[_XV + 1, 6] = -eb
+    return q
+
+
+def bz_rhs(z: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Proper-time derivative of integrated states z of shape (..., 29).
+
+    z[..., :28] is the phase point and z[..., 28] the constant 1.0, whose
+    derivative comes out as zero; q is :func:`quadratic_form` at the run's
+    e*B.  The whole system is one gather, one product and one matmul.
+    """
+    g = z.take(_IJ, axis=-1)
+    return (g[..., :_K] * g[..., _K:]) @ q
 
 
 def make_initial_state(params: DimensionlessParams) -> np.ndarray:
@@ -107,7 +124,7 @@ def make_initial_state(params: DimensionlessParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BZTrajectory:
-    """An integrated run; x, pi, v and S are views into one (N, ..., 28) state array.
+    """An integrated run; x, pi, v and S are views into one (N, ..., 29) state array.
 
     A single start of shape (28,) gives x, pi, v of shape (N, 4) and S of
     shape (N, 4, 4); a batch of shape (B, 28) gives (N, B, 4) and (N, B, 4, 4).
@@ -139,7 +156,7 @@ def _rk4(rhs, y0: np.ndarray, tau_max: float, dt: float) -> tuple[np.ndarray, np
         k3 = rhs(y + half * k2)
         k4 = rhs(y + dt * k3)
         y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if np.max(np.abs(y)) > BLOWUP:
+        if not np.abs(y).max() <= BLOWUP:  # NaN fails the comparison too
             raise IntegrationUnstableError(f"state blew up at tau = {tau[i + 1]:g}")
         out[i + 1] = y
     return tau, out
@@ -149,8 +166,12 @@ def integrate(
     state0: np.ndarray, params: DimensionlessParams, tau_max: float, dt: float
 ) -> BZTrajectory:
     """Full (x, pi, v, S) system from flat state0 of shape (28,) or (B, 28) over [0, tau_max]."""
-    lin = linear_part(_eb(params))
-    tau, ys = _rk4(lambda y: bz_rhs(y, lin), state0, tau_max, dt)
+    y0 = np.asarray(state0, dtype=float)
+    if y0.shape[-1:] != (_ONE,):
+        raise ValueError(f"state0 must end in an axis of {_ONE}, got shape {y0.shape}")
+    q = quadratic_form(_eb(params))
+    z0 = np.concatenate((y0, np.ones(y0.shape[:-1] + (1,))), axis=-1)
+    tau, ys = _rk4(lambda z: bz_rhs(z, q), z0, tau_max, dt)
     return BZTrajectory(tau=tau, x=ys[..., 0:4], pi=ys[..., 4:8], v=ys[..., 8:12],
                         S=ys[..., 12:28].reshape(ys.shape[:-1] + (4, 4)))
 

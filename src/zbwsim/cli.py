@@ -32,6 +32,8 @@ from .units import DimensionlessParams, epsilon_from_tesla
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+_BLOCK = 256   # CSV rows converted and written at a time
+_FLOAT = "%.12g"  # every float in a CSV
 
 # accept scientific notation like -1e-3 as a positional value, which stock
 # argparse (< 3.12) would otherwise read as an unknown option
@@ -73,11 +75,22 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _float_blocks(*columns: np.ndarray):
+    """Float columns side by side, as lists of rows of Python floats, _BLOCK rows at a time."""
+    for k in range(0, len(columns[0]), _BLOCK):
+        yield np.column_stack([c[k:k + _BLOCK] for c in columns]).tolist()
+
+
+def _write_csv(path: str, header: list[str], fmt: str, blocks) -> None:
+    """Write the header line, then each row of each block through the %-format fmt.
+
+    One write per block keeps a long table from being held as text all at once.
+    """
+    line = fmt + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            fh.write("".join([line % tuple(r) for r in block]))
 
 
 def _cmd_quantum(args: argparse.Namespace) -> int:
@@ -88,10 +101,8 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
             traj.positions[:, 0], traj.positions[:, 1],
             f"packet center orbit, epsilon={params.epsilon:g}, {params.charge} {params.spin}"))
     else:
-        _write(args.out, _csv(
-            ["t", "x", "y", "z"],
-            ((float(t), *map(float, r)) for t, r in zip(traj.times, traj.positions)),
-        ))
+        _write_csv(args.out, ["t", "x", "y", "z"], ",".join([_FLOAT] * 4),
+                   _float_blocks(traj.times, traj.positions))
     if args.fit:
         fit = extract_frequency(traj)
         print(json.dumps({"omega": fit.omega, "amplitude": fit.amplitude,
@@ -107,12 +118,9 @@ def _cmd_classical(args: argparse.Namespace) -> int:
             traj.tau, traj.v[:, 1],
             f"v_x(tau), epsilon={params.epsilon:g}, spin {params.spin}", "tau", "v_x"))
     else:
-        _write(args.out, _csv(
-            ["tau", "x", "y", "z", "vx", "vy", "vz", "S12"],
-            ((float(traj.tau[i]), *map(float, traj.x[i, 1:4]),
-              *map(float, traj.v[i, 1:4]), float(traj.S[i, 1, 2]))
-             for i in range(len(traj.tau))),
-        ))
+        _write_csv(args.out, ["tau", "x", "y", "z", "vx", "vy", "vz", "S12"],
+                   ",".join([_FLOAT] * 8),
+                   _float_blocks(traj.tau, traj.x[:, 1:4], traj.v[:, 1:4], traj.S[:, 1, 2]))
     return 0
 
 
@@ -187,8 +195,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         chunks = [_sweep_cell(j) for j in work]
     rows = [r for chunk in chunks for r in chunk]
     rows.sort(key=lambda r: (r[0], r[3], r[1], r[2]))
-    _write(args.out, _csv(
-        ["epsilon", "charge", "spin", "approach", "delta_omega", "cp_verdict"], rows))
+    _write_csv(args.out, ["epsilon", "charge", "spin", "approach", "delta_omega", "cp_verdict"],
+               f"{_FLOAT},%s,%s,%s,{_FLOAT},%s", [rows])
     return 0
 
 
@@ -227,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("roots", help="characteristic-cubic roots")
     _add_params(r)
     r.add_argument("--method", choices=("exact", "rough", "accurate"), default="exact")
-    r.add_argument("--format", choices=("json",), default="json")
     r.add_argument("--out", default=None)
     r.set_defaults(func=_cmd_roots)
 

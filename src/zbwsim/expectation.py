@@ -279,11 +279,11 @@ def _azimuth_sum(c0: np.ndarray, c1: np.ndarray, n_phi: int) -> np.ndarray:
     return s0 * diag + 2.0 * np.real(s1 * _alpha_pair(c0, c1))
 
 
-def drift_velocity(params: DimensionlessParams, n_phi: int = 64) -> np.ndarray:
-    """Linear drift term of <r-dot>; vanishes for the localized initial state.
+def _drift_spinors(params: DimensionlessParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unnormalized spinors c0 + c1 e^{i phi} of pos_up, neg_up, neg_down on the (pi, theta) grid.
 
-    Only pi_+ = pi sin(theta) e^{i phi} carries the azimuth, so each spinor is
-    c0 + c1 e^{i phi} on the (pi, theta) grid and the azimuth sum is closed.
+    Only pi_+ = pi sin(theta) e^{i phi} carries the azimuth.  Returns c0 and
+    c1, each (3, nu, nt, 4), and the :func:`momentum_grid` weights.
     """
     g = GaussianProfile.for_packet_width(params.r0_over_lambda)
     kk = k_factors(params).k
@@ -291,7 +291,6 @@ def drift_velocity(params: DimensionlessParams, n_phi: int = 64) -> np.ndarray:
     f = g.value(pi_m)
     kz = kk * pi_m * np.cos(th_m) * f
     kp = kk * pi_m * np.sin(th_m) * f
-    # labels pos_up, neg_up, neg_down; spinor = c0 + c1 e^{i phi}, each (3, nu, nt, 4)
     c0 = np.zeros((3,) + f.shape + (4,), dtype=complex)
     c1 = np.zeros_like(c0)
     c0[0, ..., 0] = f
@@ -299,6 +298,16 @@ def drift_velocity(params: DimensionlessParams, n_phi: int = 64) -> np.ndarray:
     c0[1, ..., 2] = -kz
     c1[0, ..., 3] = kp
     c1[2, ..., 3] = -kp
+    return c0, c1, w_m
+
+
+def drift_velocity(params: DimensionlessParams, n_phi: int = 64) -> np.ndarray:
+    """Linear drift term of <r-dot>; vanishes for the localized initial state.
+
+    Each spinor is c0 + c1 e^{i phi} (:func:`_drift_spinors`), so the azimuth
+    sum is closed.
+    """
+    c0, c1, w_m = _drift_spinors(params)
     dens = _azimuth_sum(c0, c1, n_phi).sum(axis=0)  # (nu, nt, 3)
     return np.sum(w_m[..., None] * dens, axis=(0, 1))
 

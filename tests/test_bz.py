@@ -14,20 +14,26 @@ def _free_params():
     return DimensionlessParams(epsilon=0.0)
 
 
+def _with_slot(y):
+    """Phase points y (..., 28) with the constant 1.0 slot that bz_rhs expects."""
+    return np.concatenate((y, np.ones(y.shape[:-1] + (1,))), axis=-1)
+
+
 def test_rhs_position_and_momentum():
     params = DimensionlessParams(epsilon=-1e-2)
     eb = 2.0 * params.epsilon
     y = bz.make_initial_state(params)
-    dot = bz.bz_rhs(y, bz.linear_part(eb))
+    dot = bz.bz_rhs(_with_slot(y), bz.quadratic_form(eb))
     assert np.allclose(dot[0:4], y[8:12])
     # initial velocity is along x; pi-dot = e F v picks up the y equation
     assert dot[4] == 0.0 and dot[7] == 0.0
     assert dot[6] == pytest.approx(-eb * y[9])
+    assert dot[28] == 0.0  # the constant slot stays 1
 
 
 def test_rhs_velocity_from_spin():
     y = bz.make_initial_state(DimensionlessParams(epsilon=0.0))
-    dot = bz.bz_rhs(y, bz.linear_part(0.0))
+    dot = bz.bz_rhs(_with_slot(y), bz.quadratic_form(0.0))
     # rest-frame pi with S^{12} only: v-dot = 4 S pi_low = 0
     assert np.allclose(dot[8:12], 0.0)
     # S-dot = pi (x) v - v (x) pi couples time and space rows only
@@ -51,14 +57,65 @@ def _rhs_reference(y, eb):
 def test_rhs_matches_componentwise_reference():
     rng = np.random.default_rng(11)
     eb = -0.13
-    lin = bz.linear_part(eb)
+    q = bz.quadratic_form(eb)
     for shape in ((28,), (3, 28)):
         y = rng.standard_normal(shape)
         # fixed from the dtype: a few roundings of products of two state entries
         tol = 16.0 * np.finfo(y.dtype).eps * (1.0 + np.max(np.abs(y))) ** 2
-        dot = bz.bz_rhs(y, lin)
-        assert dot.shape == shape
-        assert np.max(np.abs(dot - np.apply_along_axis(_rhs_reference, -1, y, eb))) <= tol
+        dot = bz.bz_rhs(_with_slot(y), q)
+        assert dot.shape == shape[:-1] + (29,)
+        assert np.all(dot[..., 28] == 0.0)
+        ref = np.apply_along_axis(_rhs_reference, -1, y, eb)
+        assert np.max(np.abs(dot[..., :28] - ref)) <= tol
+
+
+def _split_rhs(eb):
+    """The right-hand side as a linear plus a bilinear part, y L + (y_I * y_J) Q.
+
+    Each output column of bz_rhs sums nonzero terms of one part only, so RK4
+    on this form must give integrate()'s trajectories bit for bit.
+    """
+    pairs = [(a, b) for a in range(4) for b in range(4)]
+    off = [(a, b) for a, b in pairs if a != b]
+    i = np.array([12 + 4 * a + b for a, b in pairs] + [4 + a for a, _ in off])
+    j = np.array([4 + b for _, b in pairs] + [8 + b for _, b in off])
+    q = np.zeros((len(i), 28))
+    for k, (a, b) in enumerate(pairs):
+        q[k, 8 + a] = 4.0 * G[b]
+    for k, (a, b) in enumerate(off, start=len(pairs)):
+        q[k, 12 + 4 * a + b], q[k, 12 + 4 * b + a] = 1.0, -1.0
+    lin = np.zeros((28, 28))
+    lin[8:12, 0:4] = np.eye(4)
+    lin[10, 5] = eb
+    lin[9, 6] = -eb
+    return lambda y: y @ lin + (y[..., i] * y[..., j]) @ q
+
+
+def _split_rk4(y, eb, n, dt):
+    rhs = _split_rhs(eb)
+    out = [y]
+    half, sixth = 0.5 * dt, dt / 6.0
+    for _ in range(n):
+        k1 = rhs(y)
+        k2 = rhs(y + half * k1)
+        k3 = rhs(y + half * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        out.append(y)
+    return np.array(out)
+
+
+def test_integrate_bit_identical_to_split_form():
+    for eps in (-1e-3, -0.05):
+        p = DimensionlessParams(epsilon=eps)
+        starts = [bz.make_initial_state(replace(p, spin=spin)) for spin in ("up", "down")]
+        for y0 in (starts[0], np.stack(starts)):
+            traj = bz.integrate(y0, p, 10.0, 0.02)  # 500 steps
+            ref = _split_rk4(y0, 2.0 * eps, 500, 0.02)
+            assert np.array_equal(traj.tau, 0.02 * np.arange(501))
+            for name, sl in (("x", np.s_[0:4]), ("pi", np.s_[4:8]), ("v", np.s_[8:12])):
+                assert np.array_equal(getattr(traj, name), ref[..., sl]), name
+            assert np.array_equal(traj.S, ref[..., 12:28].reshape(ref.shape[:-1] + (4, 4)))
 
 
 def test_batched_integration_matches_single_runs():
@@ -137,6 +194,18 @@ def test_integration_blowup_guard():
     bad = 1e3 * bz.make_initial_state(params)  # x(0) = 0, so only pi, v, S grow
     with pytest.raises(bz.IntegrationUnstableError):
         bz.integrate(bad, params, 50.0, 0.01)
+
+
+def test_nan_start_raises():
+    params = DimensionlessParams(epsilon=-1e-3)
+    bad = bz.make_initial_state(params)
+    bad[9] = math.nan
+    with pytest.raises(bz.IntegrationUnstableError):
+        bz.integrate(bad, params, 2.0, 0.01)
+    bad = bz.reduced_initial_state(params)
+    bad[0] = math.nan
+    with pytest.raises(bz.IntegrationUnstableError):
+        bz.integrate_reduced(bad, params, 2.0, 0.01)
 
 
 def test_dt_guard():

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import zbwsim
+from zbwsim import cli
 from zbwsim.cli import main
 from zbwsim.fitting import fit_sinusoid
 
@@ -27,7 +28,7 @@ def _read(path):
 def test_roots_json_satisfies_vieta(tmp_path, capsys):
     out = tmp_path / "roots.json"
     rc = main(["roots", "--epsilon", "-1e-3", "--spin", "up",
-               "--method", "exact", "--format", "json", "--out", str(out)])
+               "--method", "exact", "--out", str(out)])
     assert rc == 0
     payload = json.loads(_read(out))
     r = payload["roots"]
@@ -36,6 +37,49 @@ def test_roots_json_satisfies_vieta(tmp_path, capsys):
     assert w.sum() == pytest.approx(0.0, abs=1e-10)
     assert w[0] * w[1] + w[0] * w[2] + w[1] * w[2] == pytest.approx(c["c1"], rel=1e-10)
     assert w.prod() == pytest.approx(-c["c0"], rel=1e-10)
+
+
+def test_roots_format_flag_is_gone(capsys):
+    rc = main(["roots", "--epsilon", "-1e-3", "--format", "json"])
+    assert rc == 2
+    assert _one_error_line(capsys.readouterr().err)["error"] == "config"
+
+
+def _per_value_csv(header, rows):
+    """CSV text formatted one value at a time, the reference for cli._csv."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_rows_match_per_value_format(tmp_path):
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan,
+               1.0 / 3.0, 123456789012.5, -2.5e-7]
+    rng = np.random.default_rng(5)
+    # several blocks and a partial one, with every special value in every column
+    n = 4 * cli._BLOCK + 37
+    tau = rng.standard_normal(n)
+    table = rng.standard_normal((n, 7)) * 10.0 ** rng.integers(-300, 300, (1, 7))
+    for k, v in enumerate(special):
+        tau[k * 97 % n] = v
+        table[k * 97 % n] = v
+        table[cli._BLOCK - 1 + k, k % 7] = v
+    out = tmp_path / "t.csv"
+    header = ["tau", "x", "y", "z", "vx", "vy", "vz", "S12"]
+    cli._write_csv(out, header, ",".join([cli._FLOAT] * 8),
+                   cli._float_blocks(tau, table[:, 0:3], table[:, 3:6], table[:, 6]))
+    assert out.read_text() == _per_value_csv(header, np.column_stack((tau, table)).tolist())
+    cli._write_csv(out, ["t"], cli._FLOAT, cli._float_blocks(np.empty(0)))
+    assert out.read_text() == "t\n"
+    rows = [(eps, charge, spin, approach, omega, verdict)
+            for eps, omega in zip(special, reversed(special))
+            for charge, spin, approach, verdict in (
+                ("electron", "up", "quantum", "cp_respected"),
+                ("positron", "down", "classical_rough", "cp_violated"))]
+    header = ["epsilon", "charge", "spin", "approach", "delta_omega", "cp_verdict"]
+    cli._write_csv(out, header, f"{cli._FLOAT},%s,%s,%s,{cli._FLOAT},%s", [rows])
+    assert out.read_text() == _per_value_csv(header, rows)
 
 
 def test_quantum_csv_free_case(tmp_path):

@@ -13,6 +13,7 @@ from zbwsim.expectation import (
     ALPHA,
     _alpha_pair,
     _azimuth_sum,
+    _drift_spinors,
     _leggauss,
     amplitude_coefficients,
     amplitude_coefficients_quadrature,
@@ -35,6 +36,7 @@ from zbwsim.packet import (
     KFactors,
     MomentumPoint,
     k_factors,
+    packet_norm_constant,
     reduced_packet_amplitudes,
 )
 from zbwsim.units import DimensionlessParams
@@ -282,6 +284,26 @@ def test_azimuthal_cancellation():
 def test_drift_velocity_vanishes():
     p = DimensionlessParams(epsilon=-1e-3, r0_over_lambda=100.0)
     assert np.max(np.abs(drift_velocity(p))) <= 1e-8
+
+
+@pytest.mark.parametrize("r0", [10.0, 100.0])
+@pytest.mark.parametrize("spin", ["up", "down"])
+def test_drift_spinors_carry_the_packet_norm(r0, spin):
+    """The drift's spinors have c^dag c summing to the packet normalization.
+
+    Every drift term vanishes by symmetry whatever the spinor amplitudes, so
+    the drift test alone cannot see a wrong amplitude; this density can.
+    """
+    p = DimensionlessParams(epsilon=-1e-3, spin=spin, r0_over_lambda=r0)
+    c0, c1, w_m = _drift_spinors(p)
+    n_phi = 64
+    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    c = c0[..., None, :] + c1[..., None, :] * np.exp(1j * phis)[:, None]
+    dens = np.sum(np.abs(c) ** 2, axis=(0, -1))  # (nu, nt, nphi), summed over labels
+    total = (2.0 * math.pi / n_phi) * np.sum(w_m[..., None] * dens)
+    g = GaussianProfile.for_packet_width(r0)
+    norm = packet_norm_constant(g, k_factors(p))
+    assert total / norm**2 == pytest.approx(packet_normalization(p), abs=1e-12)
 
 
 def _random_spinors(rng, shape):
