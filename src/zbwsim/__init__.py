@@ -10,10 +10,8 @@ from .units import (
     LAMBDA_C,
     OMEGA_ZBW,
     DimensionlessParams,
-    SIField,
     cyclotron_frequency,
     epsilon_from_tesla,
-    tesla_from_epsilon,
 )
 
 __version__ = "0.1.0"
@@ -22,9 +20,7 @@ __all__ = [
     "LAMBDA_C",
     "OMEGA_ZBW",
     "DimensionlessParams",
-    "SIField",
     "cyclotron_frequency",
     "epsilon_from_tesla",
-    "tesla_from_epsilon",
     "__version__",
 ]

@@ -147,6 +147,8 @@ def _rk4(rhs, y0: np.ndarray, tau_max: float, dt: float) -> tuple[np.ndarray, np
     n = step_count(tau_max, dt, "tau_max")
     tau = dt * np.arange(n + 1)
     y = np.asarray(y0, dtype=float)
+    if not np.abs(y).max() <= BLOWUP:
+        raise IntegrationUnstableError(f"start state is not finite or exceeds {BLOWUP:g}")
     out = np.empty((n + 1,) + y.shape)
     out[0] = y
     half, sixth = 0.5 * dt, dt / 6.0

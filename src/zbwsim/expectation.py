@@ -1,8 +1,10 @@
 """Expectation-value observables of the localized packet.
 
-Builds <r>(t) for a fixed azimuthal Fourier component, the closed-form
-oscillation weights with their quadrature cross-checks, the magnetic-moment
-expectation, and the classical spin-interpretation quantities.  The shifted
+Builds <r>(t) at a fixed azimuth phi0, the closed-form planar and axial
+weights I and J with their quadrature cross-checks, the magnetic-moment
+expectation, and the classical spin-interpretation quantities.  The packet's
+spinors are built once, on the cached (pi, theta) quadrature grid, by
+:func:`_drift_spinors`, and paired through :func:`_alpha_pair`.  The shifted
 planar frequency is omega_zbw + s * omega_c with s = +1 for (electron, up)
 and (positron, down), s = -1 otherwise.
 """
@@ -15,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import FitFailureError, SinusoidFit, fit_sinusoid
-from .packet import (
-    GaussianProfile,
-    MomentumPoint,
-    gaussian_profile_value,
-    k_factors,
-    packet_norm_constant,
-)
+from .packet import GaussianProfile, k_factors, packet_norm_constant
 from .units import LAMBDA_C, OMEGA_ZBW, DimensionlessParams, cyclotron_frequency, step_count
 
 PI = math.pi
@@ -36,26 +32,10 @@ U_MAX = 8.0
 
 
 @dataclass(frozen=True)
-class OscillatorTerm:
-    """One Fourier contribution: amplitude * sin(omega t + phase), per component."""
-
-    amplitude: np.ndarray  # (3,)
-    omega: float
-    phase: np.ndarray      # (3,)
-
-
-@dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray
     positions: np.ndarray  # (N, 3)
     params: DimensionlessParams
-
-
-@dataclass(frozen=True)
-class BilinearFactors:
-    l1: np.ndarray     # (3,) weight density
-    l2: np.ndarray     # (3,)
-    phase: np.ndarray  # (3,)
 
 
 @dataclass(frozen=True)
@@ -91,18 +71,6 @@ def momentum_grid(pi0: float, n_theta: int = N_THETA, n_u: int = N_U, u_max: flo
     return pi_m, th_m, w_m
 
 
-def bilinear_factors(p: MomentumPoint, g: GaussianProfile) -> BilinearFactors:
-    """First-order interference weight densities at one momentum node."""
-    f2 = gaussian_profile_value(p, g) ** 2
-    planar = -f2 * p.pi * math.sin(p.theta) / 2.0
-    axial = -f2 * p.pi * math.cos(p.theta) / 2.0
-    return BilinearFactors(
-        l1=np.array([planar, planar, 0.0]),
-        l2=np.array([0.0, 0.0, axial]),
-        phase=np.array([p.phi, p.phi + PI / 2.0, 0.0]),
-    )
-
-
 def amplitude_coefficients(
     params: DimensionlessParams,
 ) -> tuple[AmplitudeCoefficient, AmplitudeCoefficient]:
@@ -119,20 +87,13 @@ def amplitude_coefficients(
 def amplitude_coefficients_quadrature(params: DimensionlessParams) -> tuple[float, float]:
     """Direct 2-D quadrature of the defining (pi, theta) double integrals."""
     g = GaussianProfile.for_packet_width(params.r0_over_lambda)
-    pi_m, th_m, _ = momentum_grid(g.pi0)
-    # radial/polar weights without the pi^2 sin(theta) volume factor
-    _, wu = _leggauss(N_U)
-    wu = 0.5 * U_MAX * wu * g.pi0
-    _, wt = _leggauss(N_THETA)
-    wt = 0.5 * PI * wt
-    w2 = np.outer(wu, wt)
+    pi_m, th_m, w_m = momentum_grid(g.pi0)
     f2 = g.value(pi_m) ** 2
     ratio = cyclotron_frequency(params) / OMEGA_ZBW
     sign = params.spin_sign
-    i_val = -2.0 * (1.0 - sign * ratio) * float(
-        np.sum(w2 * f2 / 2.0 * pi_m**3 * np.sin(th_m) ** 2)
-    )
-    j_val = -PI * float(np.sum(w2 * f2 / 2.0 * pi_m**3 * np.sin(2.0 * th_m)))
+    # the integrands carry pi^3 sin^2(theta) and pi^3 sin(2 theta); w_m holds pi^2 sin(theta)
+    i_val = -2.0 * (1.0 - sign * ratio) * float(np.sum(w_m * f2 / 2.0 * pi_m * np.sin(th_m)))
+    j_val = -PI * float(np.sum(w_m * f2 * pi_m * np.cos(th_m)))
     return i_val, j_val
 
 
@@ -142,27 +103,18 @@ def shifted_frequency(params: DimensionlessParams) -> float:
     return OMEGA_ZBW + s * cyclotron_frequency(params)
 
 
-def oscillator_terms(params: DimensionlessParams) -> list[OscillatorTerm]:
-    """Fourier terms of <r>(t) at the fixed azimuth phi0.
-
-    Only the planar rotation contributes: the axial weight J vanishes.
-    """
-    omega = shifted_frequency(params)
-    phase0 = params.spin_sign * params.phi0  # spin-down enters with -phi
-    planar = OscillatorTerm(
-        amplitude=np.array([LAMBDA_C / 2.0, LAMBDA_C / 2.0, 0.0]),
-        omega=omega,
-        phase=np.array([phase0, phase0 - PI / 2.0, 0.0]),
-    )
-    return [planar]
-
-
 def position_expectation(params: DimensionlessParams, t: float | np.ndarray) -> np.ndarray:
-    """<r>(t) in Compton-wavelength units; shape (3,) or (N, 3)."""
+    """<r>(t) at the fixed azimuth phi0 in Compton-wavelength units; shape (3,) or (N, 3).
+
+    Only the planar rotation contributes, since the axial weight J vanishes.
+    Adding onto zeros turns the z column's -0.0 into 0.0.
+    """
     ts = np.asarray(t, dtype=float)
+    phase0 = params.spin_sign * params.phi0  # spin-down enters with -phi
+    amplitude = np.array([LAMBDA_C / 2.0, LAMBDA_C / 2.0, 0.0])
+    phase = np.array([phase0, phase0 - PI / 2.0, 0.0])
     out = np.zeros(ts.shape + (3,))
-    for term in oscillator_terms(params):
-        out += term.amplitude * np.sin(term.omega * ts[..., None] + term.phase)
+    out += amplitude * np.sin(shifted_frequency(params) * ts[..., None] + phase)
     return out
 
 
@@ -229,28 +181,6 @@ def spin_interpretation(params: DimensionlessParams, mode: str) -> SpinInterpret
     raise ValueError(f"mode must be 'variable_spin' or 'fixed_spin', got {mode!r}")
 
 
-def azimuthal_position_integral(
-    params: DimensionlessParams, t: float, n_phi: int = 256
-) -> np.ndarray:
-    """Planar <r> integrand integrated over the full azimuth; cancels to zero."""
-    phis = TWO_PI * np.arange(n_phi) / n_phi
-    omega = shifted_frequency(params)
-    arg = omega * t + params.spin_sign * phis
-    x = 0.5 * np.sin(arg)
-    y = -0.5 * np.cos(arg)
-    w = TWO_PI / n_phi
-    return np.array([w * x.sum(), w * y.sum(), 0.0])
-
-
-# Dirac alpha matrices (2x2 block off-diagonal Pauli structure)
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-ALPHA = [
-    np.block([[np.zeros((2, 2)), s], [s, np.zeros((2, 2))]]) for s in (_SX, _SY, _SZ)
-]
-
-
 def _alpha_pair(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """Complex c1^dag alpha_i c2 for arrays of 4-spinors (..., 4); returns (..., 3)."""
     a1, b1, e1, d1 = (np.conj(c1[..., i]) for i in range(4))
@@ -282,8 +212,11 @@ def _azimuth_sum(c0: np.ndarray, c1: np.ndarray, n_phi: int) -> np.ndarray:
 def _drift_spinors(params: DimensionlessParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unnormalized spinors c0 + c1 e^{i phi} of pos_up, neg_up, neg_down on the (pi, theta) grid.
 
-    Only pi_+ = pi sin(theta) e^{i phi} carries the azimuth.  Returns c0 and
-    c1, each (3, nu, nt, 4), and the :func:`momentum_grid` weights.
+    The first-order amplitudes of the spin-up localized packet with profile f:
+    pos_up = f (1, 0, K pi_z, K pi_+), neg_up = f (0, 0, -K pi_z, 0) and
+    neg_down = f (0, 0, 0, -K pi_+), which sum to f (1, 0, 0, 0).  Only
+    pi_+ = pi sin(theta) e^{i phi} carries the azimuth.  Returns c0 and c1,
+    each (3, nu, nt, 4), and the :func:`momentum_grid` weights.
     """
     g = GaussianProfile.for_packet_width(params.r0_over_lambda)
     kk = k_factors(params).k
@@ -325,20 +258,15 @@ def packet_normalization(params: DimensionlessParams) -> float:
 
 __all__ = [
     "AmplitudeCoefficient",
-    "BilinearFactors",
     "FitFailureError",
-    "OscillatorTerm",
     "SpinInterpretation",
     "Trajectory",
     "amplitude_coefficients",
     "amplitude_coefficients_quadrature",
-    "azimuthal_position_integral",
-    "bilinear_factors",
     "drift_velocity",
     "extract_frequency",
     "magnetic_moment_expectation",
     "momentum_grid",
-    "oscillator_terms",
     "packet_normalization",
     "position_expectation",
     "quantum_trajectory",

@@ -46,6 +46,10 @@ def _samples(times: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndar
     y = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.shape != y.shape or len(t) < 8:
         raise ValueError("need matching 1-D arrays with at least 8 samples")
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise ValueError(f"values must be finite: {bad.size} are not, the first {y[bad[0]]} "
+                         f"at sample {bad[0]}")
     dt = np.diff(t)
     if not (dt.min() > 0 and dt.max() - dt.min() <= 1e-9 * dt.mean()):
         raise ValueError("times must be strictly increasing and uniform")

@@ -1,10 +1,11 @@
-"""Momentum-space four-spinor amplitudes for a Gaussian packet in a uniform B field.
+"""Momentum-space ingredients of a Gaussian packet in a uniform B field.
 
-Pure pointwise evaluation: the Gaussian momentum profile, the K factors that
-replace the free-particle 1/(E + mc^2) kinematics, the four spinor columns,
-the exact packet-weight coefficients with their rough (weak-field,
-non-relativistic) reductions, and the Landau energy spectrum.  Quadrature
-grids live in :mod:`zbwsim.expectation`; momenta are commuting numbers here.
+The Gaussian momentum profile, the K factors that replace the free-particle
+1/(E + mc^2) kinematics, the exact packet-weight coefficients at one momentum
+node, the packet's joint norm, the weak-field phase rates and the Landau
+energy spectrum.  The packet's spinors themselves are built on the
+quadrature grid, in :func:`zbwsim.expectation._drift_spinors`; momenta are
+commuting numbers here.
 """
 from __future__ import annotations
 
@@ -34,20 +35,10 @@ class MomentumPoint:
     theta: float
     phi: float
 
-    def cartesian(self) -> np.ndarray:
-        st = math.sin(self.theta)
-        return self.pi * np.array(
-            [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
-        )
-
     @property
     def pi_plus(self) -> complex:
         """pi_x + i pi_y."""
         return self.pi * math.sin(self.theta) * complex(math.cos(self.phi), math.sin(self.phi))
-
-    @property
-    def pi_minus(self) -> complex:
-        return self.pi_plus.conjugate()
 
     @property
     def pi_z(self) -> float:
@@ -68,12 +59,6 @@ class GaussianProfile:
         return (2.0 / (PI * self.pi0**2)) ** 0.75 * np.exp(-((np.asarray(pi) / self.pi0) ** 2))
 
 
-def gaussian_profile_value(p: MomentumPoint, g: GaussianProfile) -> float:
-    if p.pi < 0.0:
-        raise ValueError("momentum magnitude must be nonnegative")
-    return float(g.value(p.pi))
-
-
 @dataclass(frozen=True)
 class KFactors:
     """Kinematic factors K1 = 1/(2 - Omega), K2 = 1/(2 + Omega), K = 1/2."""
@@ -86,42 +71,6 @@ class KFactors:
 def k_factors(params: DimensionlessParams) -> KFactors:
     omega_half = -params.epsilon  # Omega = omega_c / 2
     return KFactors(k1=1.0 / (2.0 - omega_half), k2=1.0 / (2.0 + omega_half))
-
-
-@dataclass(frozen=True)
-class SpinorAmplitude:
-    components: np.ndarray  # complex, length 4
-    energy_sign: str        # "positive" | "negative"
-    spin: str               # "up" | "down"
-    at: MomentumPoint
-
-
-def build_spinor(p: MomentumPoint, spin: str, energy_sign: str, k: KFactors) -> SpinorAmplitude:
-    """Unit-leading-coefficient spinor column for the given spin/energy label."""
-    pz, pp, pm = p.pi_z, p.pi_plus, p.pi_minus
-    if energy_sign == "positive" and spin == "up":
-        comps = [1.0, 0.0, k.k2 * pz, k.k2 * pp]
-    elif energy_sign == "positive" and spin == "down":
-        comps = [0.0, 1.0, k.k1 * pm, -k.k1 * pz]
-    elif energy_sign == "negative" and spin == "up":
-        comps = [-k.k1 * pz, -k.k1 * pp, 1.0, 0.0]
-    elif energy_sign == "negative" and spin == "down":
-        comps = [-k.k2 * pm, k.k2 * pz, 0.0, 1.0]
-    else:
-        raise ValueError(f"bad labels: spin={spin!r}, energy_sign={energy_sign!r}")
-    return SpinorAmplitude(
-        components=np.array(comps, dtype=complex), energy_sign=energy_sign, spin=spin, at=p
-    )
-
-
-@dataclass(frozen=True)
-class HAmplitudes:
-    """Scalar stand-ins for the transverse oscillator amplitudes, one per label."""
-
-    up_pos: float = 1.0
-    up_neg: float = 1.0
-    down_pos: float = 1.0
-    down_neg: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -138,22 +87,19 @@ class PacketCoefficients:
 def exact_packet_coefficients(
     p: MomentumPoint,
     k: KFactors,
-    h: HAmplitudes = HAmplitudes(),
     f: float = 1.0,
 ) -> PacketCoefficients:
     """Exact rational packet weights for the spin-up localized initial state.
 
-    Momenta are treated as commuting numbers; with equal K factors and equal
-    h amplitudes these collapse to the rough weights (f, 0, -K pi_z f,
-    -K pi_+ f) up to the shared 1/(1 + K^2 pi^2) denominator.
+    Momenta are treated as commuting numbers; with equal K factors these
+    collapse to the rough weights (f, 0, -K pi_z f, -K pi_+ f) up to the
+    shared 1/(1 + K^2 pi^2) denominator.
     """
-    hup, hun, hdp, hdn = h.up_pos, h.up_neg, h.down_pos, h.down_neg
     k1, k2 = k.k1, k.k2
     pz, pp = p.pi_z, p.pi_plus
     rho2 = abs(pp) ** 2  # pi_+ pi_- as commuting numbers
-    hprod = hup * hun * hdp * hdn
 
-    gamma = hprod * (
+    gamma = (
         1.0
         + (k1**2 + k2**2) * pz**2
         + k1**2 * k2**2 * pz**4
@@ -164,29 +110,11 @@ def exact_packet_coefficients(
     if abs(gamma) < 1e-300:
         raise DegenerateDenominatorError(f"|Gamma| = {abs(gamma):g} at pi = {p}")
 
-    a = hun * hdp * hdn * (1.0 + k1**2 * pz**2 + k1 * k2 * rho2) / gamma * f
-    b = hup * hun * hdn * pz * pp * (k1 * k2 - k2**2) / gamma * f
-    c = -hup * hdp * hdn * k2 * pz * (1.0 + k1**2 * (pz**2 + rho2)) / gamma * f
-    d = -hup * hdp * hun * k2 * pp * (1.0 + k1 * k2 * (pz**2 + rho2)) / gamma * f
+    a = (1.0 + k1**2 * pz**2 + k1 * k2 * rho2) / gamma * f
+    b = pz * pp * (k1 * k2 - k2**2) / gamma * f
+    c = -k2 * pz * (1.0 + k1**2 * (pz**2 + rho2)) / gamma * f
+    d = -k2 * pp * (1.0 + k1 * k2 * (pz**2 + rho2)) / gamma * f
     return PacketCoefficients(a=a, b=complex(b), c=complex(c), d=complex(d), gamma=complex(gamma))
-
-
-def reduced_packet_amplitudes(
-    p: MomentumPoint, g: GaussianProfile, k: KFactors
-) -> dict[str, np.ndarray]:
-    """First-order packet amplitudes for the spin-up localized initial state.
-
-    Only three labels survive the rough reduction: the positive-energy spin-up
-    column and the two negative-energy columns that carry the interference.
-    """
-    f = gaussian_profile_value(p, g)
-    pz, pp = p.pi_z, p.pi_plus
-    kk = k.k
-    return {
-        "pos_up": f * np.array([1.0, 0.0, kk * pz, kk * pp], dtype=complex),
-        "neg_up": f * np.array([0.0, 0.0, -kk * pz, 0.0], dtype=complex),
-        "neg_down": f * np.array([0.0, 0.0, 0.0, -kk * pp], dtype=complex),
-    }
 
 
 def packet_norm_constant(g: GaussianProfile, k: KFactors) -> float:

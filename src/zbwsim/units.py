@@ -29,18 +29,12 @@ _EPSILON_PER_TESLA = _E_CHARGE * _HBAR / (2.0 * _M_E**2 * _C**2)
 
 EPSILON_MAX = 0.1        # weak-field validity bound
 R0_MIN = 10.0            # packet width must stay well above the Compton scale
+R0_MAX = 1e12            # the quadratures match their closed forms to 1e-14 up to 1e100
 
 SPINS = ("up", "down")
 CHARGES = ("electron", "positron")
 
 TWO_PI = 6.283185307179586
-
-
-@dataclass(frozen=True)
-class SIField:
-    """Uniform magnetic flux density in tesla."""
-
-    B_tesla: float
 
 
 @dataclass(frozen=True)
@@ -62,9 +56,9 @@ class DimensionlessParams:
             raise ValueError(
                 f"|epsilon| = {abs(self.epsilon):g} outside weak-field regime (< {EPSILON_MAX})"
             )
-        if not (math.isfinite(self.r0_over_lambda) and self.r0_over_lambda >= R0_MIN):
+        if not R0_MIN <= self.r0_over_lambda <= R0_MAX:  # NaN fails too
             raise ValueError(
-                f"r0_over_lambda = {self.r0_over_lambda:g} must be finite and >= {R0_MIN}"
+                f"r0_over_lambda = {self.r0_over_lambda:g} must lie in [{R0_MIN:g}, {R0_MAX:g}]"
             )
         if not math.isfinite(self.phi0):
             raise ValueError(f"phi0 = {self.phi0:g} must be finite")
@@ -81,28 +75,20 @@ class DimensionlessParams:
         return 1.0 if self.charge == "electron" else -1.0
 
 
-def epsilon_from_tesla(field: SIField | float) -> float:
-    """Dimensionless epsilon for a lab-frame flux density in tesla.
+def epsilon_from_tesla(b: float) -> float:
+    """Dimensionless epsilon for a lab-frame flux density b in tesla.
 
     epsilon = -omega_c / omega_zbw = -(e B / m) / (2 m c^2 / hbar), which is
     -mu_B B / (m c^2) via the Bohr magneton.
     """
-    b = field.B_tesla if isinstance(field, SIField) else float(field)
-    if b < 0.0:
-        raise ValueError("B_tesla must be nonnegative")
+    if not b >= 0.0:  # NaN fails too
+        raise ValueError(f"B = {b:g} T must be nonnegative")
     eps = -_EPSILON_PER_TESLA * b
     if abs(eps) >= EPSILON_MAX:
         raise ValueError(
             f"B = {b:g} T gives |epsilon| = {abs(eps):g}, outside the validated regime"
         )
     return eps
-
-
-def tesla_from_epsilon(epsilon: float) -> SIField:
-    """Inverse of :func:`epsilon_from_tesla`; epsilon must be <= 0."""
-    if epsilon > 0.0:
-        raise ValueError("physical fields correspond to epsilon <= 0")
-    return SIField(B_tesla=-epsilon / _EPSILON_PER_TESLA)
 
 
 def cyclotron_frequency(params: DimensionlessParams) -> float:

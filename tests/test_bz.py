@@ -206,6 +206,15 @@ def test_nan_start_raises():
     bad[0] = math.nan
     with pytest.raises(bz.IntegrationUnstableError):
         bz.integrate_reduced(bad, params, 2.0, 0.01)
+    # the start itself is checked: a NaN start one step short of the first
+    # check, and an oversized start with no step at all
+    bad = bz.make_initial_state(params)
+    bad[9] = math.nan
+    with pytest.raises(bz.IntegrationUnstableError, match="start"):
+        bz.integrate(bad, params, 0.004, 0.01)
+    bad[9] = 2e6
+    with pytest.raises(bz.IntegrationUnstableError, match="start"):
+        bz.integrate(bad, params, 0.0, 0.01)
 
 
 def test_dt_guard():

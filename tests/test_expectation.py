@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -10,15 +11,12 @@ import pytest
 import zbwsim
 from zbwsim import expectation
 from zbwsim.expectation import (
-    ALPHA,
     _alpha_pair,
     _azimuth_sum,
     _drift_spinors,
     _leggauss,
     amplitude_coefficients,
     amplitude_coefficients_quadrature,
-    azimuthal_position_integral,
-    bilinear_factors,
     drift_velocity,
     extract_frequency,
     magnetic_moment_expectation,
@@ -31,61 +29,104 @@ from zbwsim.expectation import (
 )
 from zbwsim import fitting
 from zbwsim.fitting import FitFailureError, fit_frequencies, fit_sinusoid
-from zbwsim.packet import (
-    GaussianProfile,
-    KFactors,
-    MomentumPoint,
-    k_factors,
-    packet_norm_constant,
-    reduced_packet_amplitudes,
-)
-from zbwsim.units import DimensionlessParams
+from zbwsim.packet import GaussianProfile, k_factors, packet_norm_constant
+from zbwsim.units import OMEGA_ZBW, DimensionlessParams, cyclotron_frequency
 
-K_FREE = KFactors(k1=0.5, k2=0.5)
+# Dirac alpha matrices: the Pauli matrices in the off-diagonal 2x2 blocks
+_SX = np.array([[0, 1], [1, 0]], dtype=complex)
+_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+ALPHA = [np.block([[np.zeros((2, 2)), s], [s, np.zeros((2, 2))]]) for s in (_SX, _SY, _SZ)]
 
 
-# ---------------------------------------------------------------- bilinears
+# ------------------------------------------------------------- pair weights
+
+def _pair_weight(c0, c1, w_m, phi, label):
+    """Sum over the (pi, theta) grid of w_m c_pos^dag alpha c_label at the azimuth phi."""
+    c = c0 + c1 * np.exp(1j * phi)
+    return np.sum(w_m[..., None] * _alpha_pair(c[0], c[label]), axis=(0, 1))
+
+
+def test_pair_weights_match_planar_amplitude():
+    """The packet's pos_up x neg_down weight is the planar amplitude I; the axial one is 0.
+
+    With the spinors of :func:`_drift_spinors` at phi0, the pair weight W has
+    |W_x| = |W_y| = |I| / (2 (1 - s omega_c / omega_zbw)), I from the closed
+    form, to a relative 1e-12; the pos_up x neg_up weight is J, which vanishes.
+    """
+    grid = itertools.product((-1e-2, -1e-3, -1e-4), (10.0, 100.0, 1000.0), ("up", "down"),
+                             (0.0, 1.1))
+    for eps, r0, spin, phi0 in grid:
+        p = DimensionlessParams(epsilon=eps, spin=spin, r0_over_lambda=r0, phi0=phi0)
+        c0, c1, w_m = _drift_spinors(p)
+        planar = _pair_weight(c0, c1, w_m, p.phi0, 2)
+        axial = _pair_weight(c0, c1, w_m, p.phi0, 1)
+        i_val = amplitude_coefficients(p)[0].value
+        expected = abs(i_val) / (2.0 * (1.0 - p.spin_sign * cyclotron_frequency(p) / OMEGA_ZBW))
+        assert np.abs(np.abs(planar[:2]) / expected - 1.0).max() <= 1e-12, (eps, r0, spin, phi0)
+        assert np.abs(axial).max() <= 1e-12 * expected, (eps, r0, spin, phi0)
+
+
+def _node_bilinears(params, phi):
+    """pos_up^dag alpha neg_up and pos_up^dag alpha neg_down on every grid node at phi."""
+    c0, c1, _ = _drift_spinors(params)
+    c = c0 + c1 * np.exp(1j * phi)
+    return _alpha_pair(c[0], c[1]), _alpha_pair(c[0], c[2])
+
+
+def _grid_f2_k(params):
+    g = GaussianProfile.for_packet_width(params.r0_over_lambda)
+    pi_m, th_m, _ = momentum_grid(g.pi0)
+    return pi_m, th_m, g.value(pi_m) ** 2, k_factors(params).k
+
 
 def test_bilinear_factors_axial_node():
-    g = GaussianProfile(pi0=1.0)
-    p = MomentumPoint(1.0, 0.0, 0.0)
-    bf = bilinear_factors(p, g)
-    f2 = g.value(1.0) ** 2
-    assert bf.l1[0] == 0.0 and bf.l1[1] == 0.0
-    assert bf.l2[2] == pytest.approx(-f2 / 2.0, rel=1e-12)
+    """The pos_up x neg_up bilinear is (0, 0, -K pi_z f^2) on every node: axial only.
+
+    Towards the axis it reaches -K pi f^2 (-f^2/2 at pi = 1 in free space);
+    odd in cos(theta), it integrates to the axial weight J = 0.
+    """
+    for eps in (0.0, -1e-3):
+        p = DimensionlessParams(epsilon=eps, r0_over_lambda=10.0)
+        pi_m, th_m, f2, kk = _grid_f2_k(p)
+        expected = -kk * pi_m * np.cos(th_m) * f2
+        for phi in (0.0, 1.1):
+            axial, _ = _node_bilinears(p, phi)
+            assert np.all(axial[..., :2] == 0.0)
+            assert np.abs(axial[..., 2] - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
 def test_bilinear_factors_equatorial_node():
-    g = GaussianProfile(pi0=1.0)
-    p = MomentumPoint(1.0, math.pi / 2.0, 0.3)
-    bf = bilinear_factors(p, g)
-    f2 = g.value(1.0) ** 2
-    assert bf.l1[0] == pytest.approx(-0.5 * f2, rel=1e-12)
-    assert bf.l1[0] == bf.l1[1]
-    assert bf.l2[2] == pytest.approx(0.0, abs=1e-16)
-    assert np.allclose(bf.phase, [0.3, 0.3 + math.pi / 2.0, 0.0])
+    """The pos_up x neg_down bilinear is -K pi sin(theta) f^2 e^{i phi} (1, -i, 0) on every node.
+
+    It is planar with |x| = |y| and turns with the azimuth; on the equator at
+    pi = 1 in free space its size is f^2/2.
+    """
+    for eps in (0.0, -1e-3):
+        p = DimensionlessParams(epsilon=eps, r0_over_lambda=10.0)
+        pi_m, th_m, f2, kk = _grid_f2_k(p)
+        for phi in (0.0, 1.1, 4.0):
+            _, planar = _node_bilinears(p, phi)
+            x = -kk * pi_m * np.sin(th_m) * f2 * np.exp(1j * phi)
+            scale = np.abs(x).max()
+            assert np.abs(planar[..., 0] - x).max() <= 1e-15 * scale
+            assert np.abs(planar[..., 1] + 1j * x).max() <= 1e-15 * scale
+            assert np.all(planar[..., 2] == 0.0)
 
 
 def test_bilinear_factors_match_raw_spinor_bilinears():
-    """Independent oracle: recompute l1/l2 from C_+^dag alpha C_- directly."""
-    g = GaussianProfile(pi0=0.5)
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        p = MomentumPoint(rng.uniform(0.01, 1.0), rng.uniform(0.1, 3.0),
-                          rng.uniform(0.0, 2 * math.pi))
-        amps = reduced_packet_amplitudes(p, g, K_FREE)
-        pos = amps["pos_up"]
-        bf = bilinear_factors(p, g)
-        # keep only the leading order in K*pi of the positive column
-        pos0 = np.array([pos[0], 0, 0, 0])
-        for neg, (weight, phase) in (
-            (amps["neg_down"], (bf.l1[0], bf.phase[0])),  # planar, x channel
-            (amps["neg_up"], (bf.l2[2], 0.0)),            # axial, z channel
-        ):
-            axis = 0 if neg is amps["neg_down"] else 2
-            raw = np.vdot(pos0, ALPHA[axis] @ neg) + np.vdot(neg, ALPHA[axis] @ pos0)
-            expected = 2.0 * weight * (math.cos(phase) if axis == 0 else 1.0)
-            assert raw.real == pytest.approx(expected, abs=1e-10)
+    """Independent oracle: C_+^dag alpha C_- by 4x4 matrix products on the packet spinors.
+
+    Both pairs, every grid node, three azimuths, with the full pos_up column.
+    """
+    p = DimensionlessParams(epsilon=-1e-3, r0_over_lambda=10.0)
+    c0, c1, _ = _drift_spinors(p)
+    for phi in (0.0, 1.1, 4.0):
+        c = c0 + c1 * np.exp(1j * phi)
+        for label in (1, 2):
+            raw = np.einsum("uti,kij,utj->utk", c[0].conj(), np.array(ALPHA), c[label])
+            assert np.abs(raw).max() > 1e-6
+            assert np.abs(_alpha_pair(c[0], c[label]) - raw).max() <= 1e-15 * np.abs(raw).max()
 
 
 # ---------------------------------------------------- amplitude coefficients
@@ -202,6 +243,11 @@ def test_fit_sinusoid_sampling_guards(monkeypatch):
         fit_sinusoid(t, np.sin(2.0 * t))
     with pytest.raises(ValueError, match="at least 8 samples"):
         fit_sinusoid(np.zeros(1), np.zeros(1))
+    t = np.arange(0, 100, 0.01)
+    y = np.sin(2.0 * t)
+    y[5] = math.nan
+    with pytest.raises(ValueError, match="values must be finite"):
+        fit_sinusoid(t, y)
 
 
 def test_fit_frequencies_residual_gate():
@@ -219,6 +265,10 @@ def test_fit_frequencies_sampling_guards():
         fit_frequencies(t**1.01, np.sin(2.0 * t), [2.0])
     with pytest.raises(ValueError, match="at least 8 samples"):
         fit_frequencies(t[:7], np.sin(2.0 * t[:7]), [2.0])
+    y = np.sin(2.0 * t)
+    y[-1] = math.inf
+    with pytest.raises(ValueError, match="values must be finite"):
+        fit_frequencies(t, y, [2.0])
 
 
 # ---------------------------------------------------------- magnetic moment
@@ -276,9 +326,17 @@ def test_variable_spin_product_invariance():
 # --------------------------------------------------------------- invariants
 
 def test_azimuthal_cancellation():
+    """The planar pair weight turns with the azimuth, so the full azimuth cancels it.
+
+    A packet with no fixed azimuth therefore has no planar <r> at any time.
+    """
     p = DimensionlessParams(epsilon=-1e-3, spin="up")
-    for t in (0.0, 1.7, 13.0):
-        assert np.max(np.abs(azimuthal_position_integral(p, t))) <= 1e-10
+    c0, c1, w_m = _drift_spinors(p)
+    n_phi = 64
+    weights = [_pair_weight(c0, c1, w_m, 2.0 * math.pi * k / n_phi, 2) for k in range(n_phi)]
+    one = np.abs(weights[0][:2]).min()
+    assert one > 1e-4
+    assert np.abs((2.0 * math.pi / n_phi) * np.sum(weights, axis=0)).max() <= 1e-12 * one
 
 
 def test_drift_velocity_vanishes():

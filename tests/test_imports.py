@@ -1,5 +1,7 @@
-"""Every name a zbwsim module imports is used there or re-exported in __all__."""
+"""Every name a zbwsim module imports is used there or re-exported in __all__,
+and every name that __all__ lists exists."""
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,11 @@ def test_no_unused_imports(path):
         if name not in used and name not in _exported_names(tree)
     }
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_names_resolve(path):
+    name = "zbwsim" if path.stem == "__init__" else f"zbwsim.{path.stem}"
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ lists names it does not define: {missing}"

@@ -3,21 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from zbwsim.expectation import momentum_grid
+from zbwsim.expectation import _drift_spinors, momentum_grid
 from zbwsim.packet import (
     GaussianProfile,
-    HAmplitudes,
     ImaginaryEnergyError,
     KFactors,
     LandauLevel,
     MomentumPoint,
-    build_spinor,
     exact_packet_coefficients,
-    gaussian_profile_value,
     k_factors,
     landau_energy,
     packet_norm_constant,
-    reduced_packet_amplitudes,
     weak_field_frequencies,
 )
 from zbwsim.units import DimensionlessParams
@@ -28,12 +24,8 @@ K_FREE = KFactors(k1=0.5, k2=0.5)
 def test_gaussian_profile_peak_value():
     g = GaussianProfile(pi0=1.0)
     # (2/pi)^{3/4} at the origin
-    assert gaussian_profile_value(MomentumPoint(0.0, 0.0, 0.0), g) == pytest.approx(
-        (2.0 / math.pi) ** 0.75, rel=1e-12
-    )
-    assert gaussian_profile_value(MomentumPoint(1.0, 0.0, 0.0), g) == pytest.approx(
-        (2.0 / math.pi) ** 0.75 * math.exp(-1.0), rel=1e-12
-    )
+    assert g.value(0.0) == pytest.approx((2.0 / math.pi) ** 0.75, rel=1e-12)
+    assert g.value(1.0) == pytest.approx((2.0 / math.pi) ** 0.75 * math.exp(-1.0), rel=1e-12)
 
 
 def test_gaussian_profile_l2_normalization():
@@ -54,34 +46,94 @@ def test_k_factors_values_and_ordering():
     assert k0.k1 == k0.k2 == k0.k == 0.5
 
 
+def _spinors_at(params, phi):
+    """The (pos_up, neg_up, neg_down) spinors of the packet at azimuth phi, (3, nu, nt, 4)."""
+    c0, c1, _ = _drift_spinors(params)
+    return c0 + c1 * np.exp(1j * phi)
+
+
+def test_drift_spinors_sum_to_localized_state():
+    """The three columns add up to the localized spin-up state f (1, 0, 0, 0).
+
+    The negative-energy columns cancel the lower components of pos_up exactly,
+    so each column's momentum dependence is tied to the others'.
+    """
+    g = GaussianProfile.for_packet_width(10.0)
+    pi_m, _, _ = momentum_grid(g.pi0)
+    for epsilon in (0.0, -1e-2):
+        c = _spinors_at(DimensionlessParams(epsilon=epsilon, r0_over_lambda=10.0), 2.0)
+        total = c.sum(axis=0)
+        np.testing.assert_allclose(total[..., 0], g.value(pi_m), rtol=1e-15, atol=0.0)
+        assert np.max(np.abs(total[..., 1:])) <= 1e-15 * np.max(np.abs(c))
+
+
 def test_spinor_trivial_momentum():
-    sp = build_spinor(MomentumPoint(0.0, 0.0, 0.0), "up", "positive", K_FREE)
-    assert np.allclose(sp.components, [1, 0, 0, 0])
+    """pos_up / f has upper half (1, 0) and a lower half of size K pi on every node.
+
+    So it goes to the rest spinor (1, 0, 0, 0) as pi -> 0, linearly in pi.
+    """
+    for epsilon in (0.0, -1e-2):
+        params = DimensionlessParams(epsilon=epsilon, r0_over_lambda=10.0)
+        g = GaussianProfile.for_packet_width(params.r0_over_lambda)
+        pi_m, _, _ = momentum_grid(g.pi0)
+        u = _spinors_at(params, 0.7)[0] / g.value(pi_m)[..., None]
+        assert np.max(np.abs(u[..., 0] - 1.0)) <= 1e-15 and np.all(u[..., 1] == 0.0)
+        lower = np.linalg.norm(u[..., 2:], axis=-1)
+        np.testing.assert_allclose(lower, k_factors(params).k * pi_m, rtol=1e-14, atol=0.0)
 
 
 def test_spinor_axial_momentum():
-    p = MomentumPoint(1.0, 0.0, 0.0)  # pi_z = 1
-    sp = build_spinor(p, "up", "positive", K_FREE)
-    assert np.allclose(sp.components, [1, 0, 0.5, 0])
+    """In free space pos_up / f = (1, 0, pi_z/2, pi_+/2) and neg_up / f = (0, 0, -pi_z/2, 0).
+
+    Along the axis (pi_z = 1) pos_up / f is (1, 0, 0.5, 0).
+    """
+    params = DimensionlessParams(epsilon=0.0, r0_over_lambda=10.0)
+    g = GaussianProfile.for_packet_width(params.r0_over_lambda)
+    pi_m, th_m, _ = momentum_grid(g.pi0)
+    phi = 0.7
+    c = _spinors_at(params, phi) / g.value(pi_m)[..., None]
+    pz, pp = pi_m * np.cos(th_m), pi_m * np.sin(th_m) * np.exp(1j * phi)
+    one, zero = np.ones_like(pz), np.zeros_like(pz)
+    np.testing.assert_allclose(c[0], np.stack([one, zero, 0.5 * pz, 0.5 * pp], axis=-1),
+                               rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(c[1], np.stack([zero, zero, -0.5 * pz, zero], axis=-1),
+                               rtol=1e-14, atol=0.0)
 
 
-def test_spinor_planar_negative_down():
-    p = MomentumPoint(1.0, math.pi / 2.0, 0.0)  # pi_x = 1
-    sp = build_spinor(p, "down", "negative", K_FREE)
-    assert np.allclose(sp.components, [-0.5, 0, 0, 1], atol=1e-15)
+def test_pos_up_column_solves_free_dirac_equation():
+    """pos_up / f is the positive-energy spin-up Dirac spinor to first order in K pi.
+
+    With u = (chi, eta), (alpha.pi + beta) u = (chi + sigma.pi eta, sigma.pi chi - eta)
+    must equal E u, E = sqrt(1 + pi^2).  The K = 1/2 spinor leaves a residual
+    of pi (E - 1) / 2 ~ pi^3 / 4 in the lower half; a wrong lower component
+    would leave O(pi).  At pi -> 0 this is the rest spinor (1, 0, 0, 0).
+    """
+    params = DimensionlessParams(epsilon=-1e-3, r0_over_lambda=10.0)
+    g = GaussianProfile.for_packet_width(params.r0_over_lambda)
+    pi_m, th_m, _ = momentum_grid(g.pi0)
+    phi = 0.7
+    u = _spinors_at(params, phi)[0] / g.value(pi_m)[..., None]
+    assert np.max(np.abs(u[..., 0] - 1.0)) <= 1e-15 and np.all(u[..., 1] == 0.0)
+    pz, pp = pi_m * np.cos(th_m), pi_m * np.sin(th_m) * np.exp(1j * phi)
+    a, b, c, d = np.moveaxis(u, -1, 0)
+    hu = np.stack([a + pz * c + pp.conj() * d, b + pp * c - pz * d,
+                   pz * a + pp.conj() * b - c, pp * a - pz * b - d], axis=-1)
+    energy = np.sqrt(1.0 + pi_m**2)[..., None]
+    residual = np.linalg.norm(hu - energy * u, axis=-1)
+    assert np.all(residual <= 0.3 * pi_m**3)
 
 
 def test_opposite_energy_spinors_orthogonal_at_zero_field():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        p = MomentumPoint(rng.uniform(0, 0.3), rng.uniform(0, math.pi),
-                          rng.uniform(0, 2 * math.pi))
-        for s_pos in ("up", "down"):
-            for s_neg in ("up", "down"):
-                a = build_spinor(p, s_pos, "positive", K_FREE).components
-                b = build_spinor(p, s_neg, "negative", K_FREE).components
-                # orthogonality holds to first order in K*pi
-                assert abs(np.vdot(a, b)) <= 1e-10 + (0.5 * p.pi) ** 2 * 1.01
+    """pos_up is orthogonal to both negative-energy columns to first order in K pi."""
+    params = DimensionlessParams(epsilon=0.0, r0_over_lambda=10.0)
+    g = GaussianProfile.for_packet_width(params.r0_over_lambda)
+    pi_m, _, _ = momentum_grid(g.pi0)
+    f2 = g.value(pi_m) ** 2
+    for phi in (0.0, 1.1, 4.0):
+        pos, neg_up, neg_down = _spinors_at(params, phi)
+        for neg in (neg_up, neg_down):
+            overlap = np.abs(np.sum(pos.conj() * neg, axis=-1))
+            assert np.all(overlap <= (0.5 * pi_m) ** 2 * f2 * (1.0 + 1e-12))
 
 
 def test_exact_coefficients_equal_k_gives_zero_b():
@@ -106,17 +158,25 @@ def test_exact_coefficients_small_b_bound():
 
 
 def test_exact_coefficients_rough_limit():
-    """With equal h and K1 = K2 = K the exact weights reduce to the rough set."""
-    g = GaussianProfile(pi0=0.02)
-    p = MomentumPoint(0.015, 0.8, 2.0)
-    f = gaussian_profile_value(p, g)
-    co = exact_packet_coefficients(p, K_FREE, HAmplitudes(), f=f)
-    rough = reduced_packet_amplitudes(p, g, K_FREE)
-    # rough a/c/d are the first-order terms of the exact rational functions
-    denom = 1.0 + 0.25 * p.pi**2
-    assert co.a == pytest.approx(f / denom, rel=1e-12)
-    assert co.c == pytest.approx((rough["neg_up"][2]).real / denom, rel=1e-12)
-    assert complex(co.d) == pytest.approx(complex(rough["neg_down"][3]) / denom, rel=1e-12)
+    """With K1 = K2 = K the exact weights reduce to the packet's spinors on the grid.
+
+    At zero field the exact a, c and d are the pos_up upper, neg_up and
+    neg_down amplitudes of :func:`_drift_spinors` over 1 + K^2 pi^2, and b
+    vanishes.
+    """
+    params = DimensionlessParams(epsilon=0.0, r0_over_lambda=100.0)
+    g = GaussianProfile.for_packet_width(params.r0_over_lambda)
+    pi_m, th_m, _ = momentum_grid(g.pi0)
+    phi = 2.0
+    c = _spinors_at(params, phi)
+    for node in ((20, 17), (48, 40), (70, 5)):
+        p = MomentumPoint(pi_m[node], th_m[node], phi)
+        co = exact_packet_coefficients(p, k_factors(params), f=g.value(p.pi))
+        denom = 1.0 + 0.25 * p.pi**2
+        assert co.a == pytest.approx(c[(0,) + node + (0,)].real / denom, rel=1e-12)
+        assert co.b == 0.0
+        assert co.c == pytest.approx(c[(1,) + node + (2,)] / denom, rel=1e-12)
+        assert co.d == pytest.approx(c[(2,) + node + (3,)] / denom, rel=1e-12)
 
 
 def test_exact_coefficient_deviation_scales_linearly_in_epsilon():
