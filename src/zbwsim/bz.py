@@ -1,8 +1,9 @@
 """Classical spinning-particle dynamics in a uniform magnetic field.
 
-Integrates the coupled (x, pi, v, S) first-order system with fixed-step RK4,
-solves the characteristic cubic for the planar rotation frequencies exactly
-and perturbatively, and extracts mode frequencies from simulated v_x(tau).
+Integrates the coupled (x, pi, v, S) first-order system with a high-order
+Taylor method and dense output, solves the characteristic cubic for the
+planar rotation frequencies exactly and perturbatively, and extracts mode
+frequencies from simulated v_x(tau).
 
 A phase point is one flat vector of 28 floats: y[0:4] = x, y[4:8] = pi,
 y[8:12] = v and y[12:28] = S^{mu nu} in row-major order; a batch of runs is
@@ -10,10 +11,15 @@ a (B, 28) array.  Integration appends a constant 1.0 to each phase point,
 so the whole right-hand side :func:`bz_rhs` is one quadratic form
 (z_I * z_J) Q in the 29 slots: the products S pi and pi v give v' and S',
 the products v * 1 give x' = v and pi' = e F v, and only the two e*B weights
-of Q depend on the field.  One private RK4 driver integrates both the full
+of Q depend on the field.  One private Taylor driver integrates both the full
 system (:func:`integrate`, any leading batch shape) and its constant-spin
 reduction (:func:`integrate_reduced`, the linear system y' = A y in v_x, v_y
-and their first two derivatives).
+and their first two derivatives, written as products y_i * 1).  Each block
+expands the state to order TAYLOR_ORDER by a Cauchy-product recursion, takes
+its length from the series' last two coefficients, and yields every sample
+it covers on the caller's grid tau = dt * arange(n + 1) from one matmul.  The
+number of blocks follows the dynamics, not dt, and DT_MAX is a bound on the
+sampling (at least 50 samples per trembling period), not on accuracy.
 
 Conventions: metric (+,-,-,-), proper-time derivatives, units with
 hbar = c = m = 1 and the spinor coupling constant set to -1.  The field
@@ -32,8 +38,12 @@ from .units import OMEGA_ZBW, SPINS, DimensionlessParams, step_count
 
 TWO_PI = 2.0 * math.pi
 _G = np.array([1.0, -1.0, -1.0, -1.0])  # metric signature diag
-DT_MAX = TWO_PI / (50.0 * OMEGA_ZBW)    # at least 50 steps per trembling period
+DT_MAX = TWO_PI / (50.0 * OMEGA_ZBW)    # sampling bound: at least 50 samples per trembling period
 BLOWUP = 1e6                            # largest |state component| an integration may reach
+TAYLOR_ORDER = 32                       # degree of the Taylor polynomial of each block
+TAYLOR_TOL = 1e-16                      # per-block truncation, relative to 1 + |state|
+TAYLOR_CAP = 256                        # most dt samples one block may cover
+_TINY = np.finfo(float).tiny
 
 
 class IntegrationUnstableError(RuntimeError):
@@ -137,43 +147,95 @@ class BZTrajectory:
     S: np.ndarray
 
 
-def _rk4(rhs, y0: np.ndarray, tau_max: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Classic fixed-step RK4 of y' = rhs(y) over [0, tau_max]; returns (tau, states).
+def _order_weights(q: np.ndarray, ij: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(qs, qg): qs[k] = Q / (k + 1) for each order k, and qg the same gathered at ij."""
+    qs = q / np.arange(1.0, TAYLOR_ORDER + 1)[:, None, None]
+    return qs, qs.take(ij, axis=-1)
 
-    y0 may carry leading batch axes; the states have shape (n + 1,) + y0.shape.
+
+def _series(z: np.ndarray, ij: np.ndarray, qs: np.ndarray, qg: np.ndarray) -> np.ndarray:
+    """Taylor coefficients c_0 .. c_TAYLOR_ORDER of z' = (z_I * z_J) Q at z, stacked on axis 0.
+
+    With z = sum_k c_k t^k, the right-hand side's coefficient k is the
+    Cauchy product sum_j c_j[I] * c_{k-j}[J] times Q, so c_{k+1} is that over
+    k + 1 (Jorba & Zou, Experimental Math. 14 (2005) 99).  (qs, qg) are
+    :func:`_order_weights`, so the recursion runs on the coefficients gathered
+    at ij (I then J), order on the last axis: one product-sum and one matmul
+    per order.  The coefficients themselves come from one batched matmul.
     """
+    k = len(ij) // 2
+    g = np.empty(z.shape[:-1] + (2 * k, TAYLOR_ORDER + 1))
+    g[..., 0] = z.take(ij, axis=-1)
+    gi, gj = g[..., :k, None, :], g[..., k:, :, None]
+    s = np.empty((TAYLOR_ORDER,) + z.shape[:-1] + (k, 1, 1))
+    for o in range(TAYLOR_ORDER):
+        np.matmul(gi[..., : o + 1], gj[..., o::-1, :], out=s[o])
+        np.matmul(s[o, ..., 0, 0], qg[o], out=g[..., o + 1])
+    c = np.empty((TAYLOR_ORDER + 1,) + z.shape)
+    c[0] = z
+    c[1:] = (s.reshape(TAYLOR_ORDER, -1, k) @ qs).reshape(c[1:].shape)
+    return c
+
+
+def _block_samples(c: np.ndarray, dt: float, left: int) -> int:
+    """How many dt samples the series c covers, from 1 to min(TAYLOR_CAP, left).
+
+    The block's reach follows the last two coefficients (Jorba & Zou):
+    H = min_j (TAYLOR_TOL (1 + |z|) / |c_j|)^(1/j) over j = order - 1, order.
+    A reach below dt still gives one sample, which the blow-up guard checks.
+    """
+    tail = np.abs(c[-2:]).reshape(2, -1).max(axis=1)
+    if not np.isfinite(tail).all():
+        raise IntegrationUnstableError("Taylor series of the state is not finite")
+    scale = TAYLOR_TOL * (1.0 + np.abs(c[0]).max())
+    orders = np.arange(TAYLOR_ORDER - 1, TAYLOR_ORDER + 1)
+    reach = np.min((scale / np.maximum(tail, _TINY)) ** (1.0 / orders))
+    return max(1, min(int(reach / dt), TAYLOR_CAP, left))
+
+
+def _taylor(state0: np.ndarray, ij: np.ndarray, q: np.ndarray, tau_max: float,
+            dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sample z' = (z_I * z_J) Q, z = (state, 1.0), on the grid dt * arange(n + 1).
+
+    Returns (tau, states z); state0 may carry leading batch axes, and the
+    states have shape (n + 1,) + z.shape.  Each block expands the state in a
+    Taylor series (:func:`_series`) and evaluates it at the m grid points it
+    covers (:func:`_block_samples`) with one matmul against their powers; the
+    last of them starts the next block.
+    """
+    y0 = np.asarray(state0, dtype=float)
+    if y0.shape[-1:] != (q.shape[1] - 1,):
+        raise ValueError(f"state0 must end in an axis of {q.shape[1] - 1}, got shape {y0.shape}")
     if dt > DT_MAX:
         raise ValueError(f"dt = {dt:g} too coarse (need <= {DT_MAX:g})")
     n = step_count(tau_max, dt, "tau_max")
     tau = dt * np.arange(n + 1)
-    y = np.asarray(y0, dtype=float)
-    if not np.abs(y).max() <= BLOWUP:
+    if not np.abs(y0).max() <= BLOWUP:
         raise IntegrationUnstableError(f"start state is not finite or exceeds {BLOWUP:g}")
-    out = np.empty((n + 1,) + y.shape)
-    out[0] = y
-    half, sixth = 0.5 * dt, dt / 6.0
-    for i in range(n):
-        k1 = rhs(y)
-        k2 = rhs(y + half * k1)
-        k3 = rhs(y + half * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.abs(y).max() <= BLOWUP:  # NaN fails the comparison too
-            raise IntegrationUnstableError(f"state blew up at tau = {tau[i + 1]:g}")
-        out[i + 1] = y
-    return tau, out
+    z = np.concatenate((y0, np.ones(y0.shape[:-1] + (1,))), axis=-1)
+    out = np.empty((n + 1, z.size))
+    out[0] = z.ravel()
+    weights = _order_weights(q, ij)
+    powers = (dt * np.arange(1, min(n, TAYLOR_CAP) + 1))[:, None] ** np.arange(TAYLOR_ORDER + 1)
+    i = 0
+    while i < n:
+        c = _series(z, ij, *weights)
+        m = _block_samples(c, dt, n - i)
+        block = out[i + 1 : i + 1 + m]
+        np.matmul(powers[:m], c.reshape(TAYLOR_ORDER + 1, -1), out=block)
+        if not np.abs(block).max() <= BLOWUP:  # NaN fails the comparison too
+            ok = np.abs(block).max(axis=1) <= BLOWUP
+            raise IntegrationUnstableError(f"state blew up at tau = {tau[i + 1 + ok.argmin()]:g}")
+        z = block[-1].reshape(z.shape)
+        i += m
+    return tau, out.reshape((n + 1,) + z.shape)
 
 
 def integrate(
     state0: np.ndarray, params: DimensionlessParams, tau_max: float, dt: float
 ) -> BZTrajectory:
     """Full (x, pi, v, S) system from flat state0 of shape (28,) or (B, 28) over [0, tau_max]."""
-    y0 = np.asarray(state0, dtype=float)
-    if y0.shape[-1:] != (_ONE,):
-        raise ValueError(f"state0 must end in an axis of {_ONE}, got shape {y0.shape}")
-    q = quadratic_form(_eb(params))
-    z0 = np.concatenate((y0, np.ones(y0.shape[:-1] + (1,))), axis=-1)
-    tau, ys = _rk4(lambda z: bz_rhs(z, q), z0, tau_max, dt)
+    tau, ys = _taylor(state0, _IJ, quadratic_form(_eb(params)), tau_max, dt)
     return BZTrajectory(tau=tau, x=ys[..., 0:4], pi=ys[..., 4:8], v=ys[..., 8:12],
                         S=ys[..., 12:28].reshape(ys.shape[:-1] + (4, 4)))
 
@@ -270,6 +332,9 @@ def perturbative_roots(params: DimensionlessParams, scheme: str) -> RootSet:
     raise ValueError(f"scheme must be 'rough' or 'accurate', got {scheme!r}")
 
 
+_REDUCED_IJ = np.array([0, 1, 2, 3, 4, 5] + [6] * 6)  # y_i * 1 with the constant slot 6
+
+
 def reduced_initial_state(params: DimensionlessParams) -> np.ndarray:
     """Reduced-system start matching :func:`make_initial_state` exactly."""
     c = characteristic_cubic(params)
@@ -279,17 +344,20 @@ def reduced_initial_state(params: DimensionlessParams) -> np.ndarray:
 def integrate_reduced(
     state0: np.ndarray, params: DimensionlessParams, tau_max: float, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 on the reduced linear system; returns (tau, states (N, 6)).
+    """The reduced linear system y' = A y; returns (tau, states (N, 6)).
 
     The state is (vx, vy, ax, ay, jx, jy), v_x and v_y with their first and
     second derivatives, and the cubic coefficients close it at third order.
+    A constant 1.0 in slot 6 makes A y the products y_i * 1 weighted by A^T,
+    so the full system's Taylor driver integrates it too.
     """
     c = characteristic_cubic(params)
     a = np.zeros((6, 6))
     a[0:4, 2:6] = np.eye(4)
     a[4, 1], a[4, 2] = c.c0, c.c1   # jx' = c1 ax + c0 vy
     a[5, 0], a[5, 3] = -c.c0, c.c1  # jy' = c1 ay - c0 vx
-    return _rk4(a.dot, state0, tau_max, dt)
+    tau, zs = _taylor(state0, _REDUCED_IJ, np.hstack((a.T, np.zeros((6, 1)))), tau_max, dt)
+    return tau, zs[..., :6]
 
 
 def spectral_frequencies(

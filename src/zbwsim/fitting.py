@@ -17,7 +17,8 @@ import numpy as np
 from scipy.optimize import least_squares
 
 TWO_PI = 2.0 * math.pi
-RESIDUAL_TOL = 0.01  # largest RMS residual accepted, as a fraction of the largest amplitude
+RESIDUAL_TOL = 0.01  # largest RMS residual accepted, as a fraction of the largest
+                     # amplitude and of the RMS of the centred data
 
 
 class FitFailureError(RuntimeError):
@@ -82,8 +83,11 @@ def _varpro(t: np.ndarray, y: np.ndarray, seeds: np.ndarray,
             trend_degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Refine seeds; return (freqs, linear coefficients, amplitudes, residual RMS).
 
-    Raises FitFailureError when the RMS residual exceeds RESIDUAL_TOL times
-    the largest fitted amplitude (model mismatch, e.g. a missing tone).
+    Raises FitFailureError unless the largest fitted amplitude is positive
+    and the RMS residual is at most RESIDUAL_TOL times both that amplitude
+    and the RMS of the centred data (model mismatch, e.g. a missing tone).
+    The second bound catches a tone that cancels the trend columns, whose
+    amplitude grows with the mismatch instead of bounding it.
     """
     def residual(freqs):
         dm = _design(freqs, t, trend_degree)
@@ -97,9 +101,13 @@ def _varpro(t: np.ndarray, y: np.ndarray, seeds: np.ndarray,
     coef, *_ = np.linalg.lstsq(dm, y, rcond=None)
     amps = np.hypot(coef[0 : 2 * len(freqs) : 2], coef[1 : 2 * len(freqs) : 2])
     residual_rms = float(np.sqrt(np.mean((dm @ coef - y) ** 2)))
-    if not residual_rms <= RESIDUAL_TOL * amps.max():
-        raise FitFailureError(f"residual rms {residual_rms:g} exceeds {RESIDUAL_TOL:g} x "
-                              f"amplitude {amps.max():g}")
+    if not amps.max() > 0.0:
+        raise FitFailureError(f"no tone fitted: largest amplitude {amps.max():g}")
+    spread = float(np.sqrt(np.mean((y - y.mean()) ** 2)))
+    for bound, what in ((amps.max(), "amplitude"), (spread, "rms of the centred data")):
+        if not residual_rms <= RESIDUAL_TOL * bound:
+            raise FitFailureError(f"residual rms {residual_rms:g} exceeds {RESIDUAL_TOL:g} x "
+                                  f"{what} {bound:g}")
     return freqs, coef, amps, residual_rms
 
 

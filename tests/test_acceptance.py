@@ -117,7 +117,7 @@ def test_criterion_4_cubic_roots():
 
 
 def test_criterion_5_classical_dynamics_consistency():
-    # (a) free-particle RK4 vs analytic over 20 Zbw periods
+    # (a) free-particle integration vs analytic over 20 Zbw periods
     p0 = DimensionlessParams(epsilon=0.0)
     traj = bz.integrate(bz.make_initial_state(p0), p0, 20.0 * math.pi, 0.003)
     pi0, v0, s0 = traj.pi[0], traj.v[0], traj.S[0]

@@ -257,6 +257,13 @@ def test_fit_frequencies_residual_gate():
     assert fit.freqs == pytest.approx([2.0, 3.1], rel=1e-12)
     with pytest.raises(FitFailureError):
         fit_frequencies(t, y, [2.0])
+    # a series with no tone: amplitude 0 and residual 0 used to pass as 0 <= 0.01 x 0
+    with pytest.raises(FitFailureError, match="no tone"):
+        fit_frequencies(t, np.zeros_like(t), [2.0])
+    # a seed far below the tone drifts to omega ~ 1e-5, whose huge amplitude
+    # cancels the constant column; the residual is the whole signal
+    with pytest.raises(FitFailureError, match="centred data"):
+        fit_frequencies(t, np.sin(2.0 * t), [0.05])
 
 
 def test_fit_frequencies_sampling_guards():
