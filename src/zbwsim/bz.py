@@ -11,15 +11,14 @@ a (B, 28) array.  Integration appends a constant 1.0 to each phase point,
 so the whole right-hand side :func:`bz_rhs` is one quadratic form
 (z_I * z_J) Q in the 29 slots: the products S pi and pi v give v' and S',
 the products v * 1 give x' = v and pi' = e F v, and only the two e*B weights
-of Q depend on the field.  One private Taylor driver integrates both the full
-system (:func:`integrate`, any leading batch shape) and its constant-spin
-reduction (:func:`integrate_reduced`, the linear system y' = A y in v_x, v_y
-and their first two derivatives, written as products y_i * 1).  Each block
-expands the state to order TAYLOR_ORDER by a Cauchy-product recursion, takes
-its length from the series' last two coefficients, and yields every sample
-it covers on the caller's grid tau = dt * arange(n + 1) from one matmul.  The
-number of blocks follows the dynamics, not dt, and DT_MAX is a bound on the
-sampling (at least 50 samples per trembling period), not on accuracy.
+of Q depend on the field.  :func:`integrate` (any leading batch shape) expands
+the state in Taylor blocks to order TAYLOR_ORDER by a Cauchy-product
+recursion, takes each block's length from the series' last two coefficients,
+and yields every sample it covers on the caller's grid tau = dt * arange(n + 1)
+from one matmul.  The number of blocks follows the dynamics, not dt, and DT_MAX
+bounds the sampling (at least 50 samples per trembling period), not accuracy.
+The constant-spin reduction (:func:`integrate_reduced`) is linear and solved
+exactly, as three modes over the characteristic cubic's roots.
 
 Conventions: metric (+,-,-,-), proper-time derivatives, units with
 hbar = c = m = 1 and the spinor coupling constant set to -1.  The field
@@ -147,33 +146,32 @@ class BZTrajectory:
     S: np.ndarray
 
 
-def _order_weights(q: np.ndarray, ij: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(qs, qg): qs[k] = Q / (k + 1) for each order k, and qg the same gathered at ij."""
+def _order_weights(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(qs, qg): qs[k] = Q / (k + 1) for each order k, and qg the same gathered at _IJ."""
     qs = q / np.arange(1.0, TAYLOR_ORDER + 1)[:, None, None]
-    return qs, qs.take(ij, axis=-1)
+    return qs, qs.take(_IJ, axis=-1)
 
 
-def _series(z: np.ndarray, ij: np.ndarray, qs: np.ndarray, qg: np.ndarray) -> np.ndarray:
+def _series(z: np.ndarray, qs: np.ndarray, qg: np.ndarray) -> np.ndarray:
     """Taylor coefficients c_0 .. c_TAYLOR_ORDER of z' = (z_I * z_J) Q at z, stacked on axis 0.
 
     With z = sum_k c_k t^k, the right-hand side's coefficient k is the
     Cauchy product sum_j c_j[I] * c_{k-j}[J] times Q, so c_{k+1} is that over
     k + 1 (Jorba & Zou, Experimental Math. 14 (2005) 99).  (qs, qg) are
     :func:`_order_weights`, so the recursion runs on the coefficients gathered
-    at ij (I then J), order on the last axis: one product-sum and one matmul
+    at _IJ (I then J), order on the last axis: one product-sum and one matmul
     per order.  The coefficients themselves come from one batched matmul.
     """
-    k = len(ij) // 2
-    g = np.empty(z.shape[:-1] + (2 * k, TAYLOR_ORDER + 1))
-    g[..., 0] = z.take(ij, axis=-1)
-    gi, gj = g[..., :k, None, :], g[..., k:, :, None]
-    s = np.empty((TAYLOR_ORDER,) + z.shape[:-1] + (k, 1, 1))
+    g = np.empty(z.shape[:-1] + (2 * _K, TAYLOR_ORDER + 1))
+    g[..., 0] = z.take(_IJ, axis=-1)
+    gi, gj = g[..., :_K, None, :], g[..., _K:, :, None]
+    s = np.empty((TAYLOR_ORDER,) + z.shape[:-1] + (_K, 1, 1))
     for o in range(TAYLOR_ORDER):
         np.matmul(gi[..., : o + 1], gj[..., o::-1, :], out=s[o])
         np.matmul(s[o, ..., 0, 0], qg[o], out=g[..., o + 1])
     c = np.empty((TAYLOR_ORDER + 1,) + z.shape)
     c[0] = z
-    c[1:] = (s.reshape(TAYLOR_ORDER, -1, k) @ qs).reshape(c[1:].shape)
+    c[1:] = (s.reshape(TAYLOR_ORDER, -1, _K) @ qs).reshape(c[1:].shape)
     return c
 
 
@@ -193,33 +191,38 @@ def _block_samples(c: np.ndarray, dt: float, left: int) -> int:
     return max(1, min(int(reach / dt), TAYLOR_CAP, left))
 
 
-def _taylor(state0: np.ndarray, ij: np.ndarray, q: np.ndarray, tau_max: float,
-            dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sample z' = (z_I * z_J) Q, z = (state, 1.0), on the grid dt * arange(n + 1).
-
-    Returns (tau, states z); state0 may carry leading batch axes, and the
-    states have shape (n + 1,) + z.shape.  Each block expands the state in a
-    Taylor series (:func:`_series`) and evaluates it at the m grid points it
-    covers (:func:`_block_samples`) with one matmul against their powers; the
-    last of them starts the next block.
-    """
-    y0 = np.asarray(state0, dtype=float)
-    if y0.shape[-1:] != (q.shape[1] - 1,):
-        raise ValueError(f"state0 must end in an axis of {q.shape[1] - 1}, got shape {y0.shape}")
+def _grid(y0: np.ndarray, tau_max: float, dt: float) -> np.ndarray:
+    """The sampling grid dt * arange(n + 1), after checking dt, the span and the start."""
     if dt > DT_MAX:
         raise ValueError(f"dt = {dt:g} too coarse (need <= {DT_MAX:g})")
     n = step_count(tau_max, dt, "tau_max")
-    tau = dt * np.arange(n + 1)
     if not np.abs(y0).max() <= BLOWUP:
         raise IntegrationUnstableError(f"start state is not finite or exceeds {BLOWUP:g}")
+    return dt * np.arange(n + 1)
+
+
+def integrate(
+    state0: np.ndarray, params: DimensionlessParams, tau_max: float, dt: float
+) -> BZTrajectory:
+    """Full (x, pi, v, S) system from flat state0 of shape (28,) or (B, 28) over [0, tau_max].
+
+    Each block expands z = (state, 1.0) in a Taylor series (:func:`_series`)
+    and evaluates it at the m grid points it covers (:func:`_block_samples`)
+    with one matmul against their powers; the last of them starts the next.
+    """
+    y0 = np.asarray(state0, dtype=float)
+    if y0.shape[-1:] != (_ONE,):
+        raise ValueError(f"state0 must end in an axis of {_ONE}, got shape {y0.shape}")
+    tau = _grid(y0, tau_max, dt)
+    n = len(tau) - 1
     z = np.concatenate((y0, np.ones(y0.shape[:-1] + (1,))), axis=-1)
     out = np.empty((n + 1, z.size))
     out[0] = z.ravel()
-    weights = _order_weights(q, ij)
+    weights = _order_weights(quadratic_form(_eb(params)))
     powers = (dt * np.arange(1, min(n, TAYLOR_CAP) + 1))[:, None] ** np.arange(TAYLOR_ORDER + 1)
     i = 0
     while i < n:
-        c = _series(z, ij, *weights)
+        c = _series(z, *weights)
         m = _block_samples(c, dt, n - i)
         block = out[i + 1 : i + 1 + m]
         np.matmul(powers[:m], c.reshape(TAYLOR_ORDER + 1, -1), out=block)
@@ -228,29 +231,22 @@ def _taylor(state0: np.ndarray, ij: np.ndarray, q: np.ndarray, tau_max: float,
             raise IntegrationUnstableError(f"state blew up at tau = {tau[i + 1 + ok.argmin()]:g}")
         z = block[-1].reshape(z.shape)
         i += m
-    return tau, out.reshape((n + 1,) + z.shape)
-
-
-def integrate(
-    state0: np.ndarray, params: DimensionlessParams, tau_max: float, dt: float
-) -> BZTrajectory:
-    """Full (x, pi, v, S) system from flat state0 of shape (28,) or (B, 28) over [0, tau_max]."""
-    tau, ys = _taylor(state0, _IJ, quadratic_form(_eb(params)), tau_max, dt)
+    ys = out.reshape((n + 1,) + z.shape)
     return BZTrajectory(tau=tau, x=ys[..., 0:4], pi=ys[..., 4:8], v=ys[..., 8:12],
                         S=ys[..., 12:28].reshape(ys.shape[:-1] + (4, 4)))
 
 
 def free_solution(
-    v0: np.ndarray, a0: np.ndarray, p: np.ndarray, tau: float | np.ndarray, m: float = 1.0
+    v0: np.ndarray, a0: np.ndarray, p: np.ndarray, tau: float | np.ndarray
 ) -> np.ndarray:
-    """Field-free 4-velocity: drift plus trembling at omega_zbw."""
+    """Field-free 4-velocity (m = 1): drift p plus trembling at omega_zbw."""
     tau = np.asarray(tau, dtype=float)
-    drift = np.asarray(p) / m
+    drift = np.asarray(p)
     osc = np.asarray(v0) - drift
     return (
         drift
         + osc * np.cos(OMEGA_ZBW * tau)[..., None]
-        + (np.asarray(a0) / (2.0 * m)) * np.sin(OMEGA_ZBW * tau)[..., None]
+        + (np.asarray(a0) / 2.0) * np.sin(OMEGA_ZBW * tau)[..., None]
     )
 
 
@@ -332,9 +328,6 @@ def perturbative_roots(params: DimensionlessParams, scheme: str) -> RootSet:
     raise ValueError(f"scheme must be 'rough' or 'accurate', got {scheme!r}")
 
 
-_REDUCED_IJ = np.array([0, 1, 2, 3, 4, 5] + [6] * 6)  # y_i * 1 with the constant slot 6
-
-
 def reduced_initial_state(params: DimensionlessParams) -> np.ndarray:
     """Reduced-system start matching :func:`make_initial_state` exactly."""
     c = characteristic_cubic(params)
@@ -344,20 +337,27 @@ def reduced_initial_state(params: DimensionlessParams) -> np.ndarray:
 def integrate_reduced(
     state0: np.ndarray, params: DimensionlessParams, tau_max: float, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The reduced linear system y' = A y; returns (tau, states (N, 6)).
+    """The reduced linear system, solved exactly; returns (tau, states (N, 6)).
 
     The state is (vx, vy, ax, ay, jx, jy), v_x and v_y with their first and
-    second derivatives, and the cubic coefficients close it at third order.
-    A constant 1.0 in slot 6 makes A y the products y_i * 1 weighted by A^T,
-    so the full system's Taylor driver integrates it too.
+    second derivatives, closed at third order by jx' = c1 ax + c0 vy and
+    jy' = c1 ay - c0 vx.  So w = vx + i vy obeys w''' = c1 w' - i c0 w, whose
+    modes exp(lambda_k tau), lambda_k = -i omega_k, run at the cubic's roots;
+    their amplitudes A_k solve sum_k A_k lambda_k^p = w^(p)(0) for p = 0, 1, 2.
     """
-    c = characteristic_cubic(params)
-    a = np.zeros((6, 6))
-    a[0:4, 2:6] = np.eye(4)
-    a[4, 1], a[4, 2] = c.c0, c.c1   # jx' = c1 ax + c0 vy
-    a[5, 0], a[5, 3] = -c.c0, c.c1  # jy' = c1 ay - c0 vx
-    tau, zs = _taylor(state0, _REDUCED_IJ, np.hstack((a.T, np.zeros((6, 1)))), tau_max, dt)
-    return tau, zs[..., :6]
+    y0 = np.asarray(state0, dtype=float)
+    if y0.shape != (6,):
+        raise ValueError(f"state0 must have shape (6,), got shape {y0.shape}")
+    tau = _grid(y0, tau_max, dt)
+    lam = -1j * solve_cubic_exact(characteristic_cubic(params)).as_array()
+    vander = lam ** np.arange(3)[:, None]
+    amps = np.linalg.solve(vander, y0[0::2] + 1j * y0[1::2])
+    w = np.exp(np.outer(tau, lam)) @ (vander * amps).T  # columns w, w', w''
+    states = np.empty((len(tau), 6))
+    states[:, 0::2], states[:, 1::2] = w.real, w.imag
+    if not np.abs(states).max() <= BLOWUP:
+        raise IntegrationUnstableError(f"state blew up within tau <= {tau[-1]:g}")
+    return tau, states
 
 
 def spectral_frequencies(

@@ -6,7 +6,7 @@ Subcommands
     roots      characteristic-cubic roots -> JSON
     landau     relativistic Landau energy -> JSON
     compare    quantum-vs-classical shift report -> JSON or SVG bar chart
-    sweep      shift tables over an epsilon list -> CSV, fanned out to workers
+    sweep      shift tables over an epsilon list -> CSV (--jobs N: on N processes)
 
 Exit codes: 0 success, 2 configuration or file error, 3 numerical failure or
 out of memory.  Failures print one JSON object ({"error": ..., "detail": ...})
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -185,11 +184,10 @@ def _sweep_cell(job: tuple[float, str]) -> list[tuple]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    jobs_n = args.jobs or int(os.environ.get("ZBW_JOBS", "1"))
     work = [(eps, ap) for eps in args.epsilons
             for ap in ("quantum", "classical_accurate", "classical_rough")]
-    if jobs_n > 1:
-        with ProcessPoolExecutor(max_workers=jobs_n) as pool:
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             chunks = list(pool.map(_sweep_cell, work))
     else:
         chunks = [_sweep_cell(j) for j in work]
@@ -256,8 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="shift tables over an epsilon list")
     sw.add_argument("--epsilons", type=float, nargs="+", required=True)
-    sw.add_argument("--jobs", type=int, default=None,
-                    help="worker count (default: ZBW_JOBS env var, then 1)")
+    sw.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
     sw.add_argument("--out", required=True)
     sw.set_defaults(func=_cmd_sweep)
     return ap

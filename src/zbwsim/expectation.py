@@ -23,7 +23,7 @@ from .units import LAMBDA_C, OMEGA_ZBW, DimensionlessParams, cyclotron_frequency
 PI = math.pi
 TWO_PI = 2.0 * PI
 
-# Default quadrature grid: Gauss-Legendre, 64 polar nodes on [0, pi] and 96
+# The quadrature grid: Gauss-Legendre, 64 polar nodes on [0, pi] and 96
 # radial nodes on u = pi/pi0 in [0, 8]; the Gaussian weight is below 1e-27
 # beyond u = 8.
 N_THETA = 64
@@ -54,16 +54,16 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def momentum_grid(pi0: float, n_theta: int = N_THETA, n_u: int = N_U, u_max: float = U_MAX):
-    """(pi, theta, weight) meshes for d^3pi = pi^2 sin(theta) dpi dtheta dphi.
+def momentum_grid(pi0: float):
+    """(pi, theta, weight) meshes for d^3pi = pi^2 sin(theta) dpi dtheta dphi on the grid above.
 
     The weight includes pi^2 sin(theta) and the radial/polar Gauss-Legendre
     weights, but not the 2*pi azimuthal factor.
     """
-    xu, wu = _leggauss(n_u)
-    u = 0.5 * u_max * (xu + 1.0)
-    wu = 0.5 * u_max * wu * pi0  # dpi = pi0 du
-    xt, wt = _leggauss(n_theta)
+    xu, wu = _leggauss(N_U)
+    u = 0.5 * U_MAX * (xu + 1.0)
+    wu = 0.5 * U_MAX * wu * pi0  # dpi = pi0 du
+    xt, wt = _leggauss(N_THETA)
     theta = 0.5 * PI * (xt + 1.0)
     wt = 0.5 * PI * wt
     pi_m, th_m = np.meshgrid(pi0 * u, theta, indexing="ij")
