@@ -3,7 +3,9 @@
 Integrates the coupled (x, pi, v, S) first-order system with a high-order
 Taylor method and dense output, solves the characteristic cubic for the
 planar rotation frequencies exactly and perturbatively, and extracts mode
-frequencies from simulated v_x(tau).
+frequencies from simulated trajectories: :func:`spectral_frequencies` seeds
+its fits from the matrix pencil of v_x + i v_y, never from the cubic, so the
+fitted frequencies check the roots rather than restate them.
 
 A phase point is one flat vector of 28 floats: y[0:4] = x, y[4:8] = pi,
 y[8:12] = v and y[12:28] = S^{mu nu} in row-major order; a batch of runs is
@@ -32,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fitting import FrequencyFit, fit_frequencies
+from .fitting import FrequencyFit, fit_frequencies, pencil_frequencies
 from .units import OMEGA_ZBW, SPINS, DimensionlessParams, step_count
 
 TWO_PI = 2.0 * math.pi
@@ -42,6 +44,7 @@ BLOWUP = 1e6                            # largest |state component| an integrati
 TAYLOR_ORDER = 32                       # degree of the Taylor polynomial of each block
 TAYLOR_TOL = 1e-16                      # per-block truncation, relative to 1 + |state|
 TAYLOR_CAP = 256                        # most dt samples one block may cover
+FIT_STEP = math.pi / 10.0               # spectral fits' sample spacing: 10 per trembling period
 _TINY = np.finfo(float).tiny
 
 
@@ -365,21 +368,19 @@ def spectral_frequencies(
 ) -> tuple[FrequencyFit, ...]:
     """Integrate both spins' field runs in one batch and fit each v_x spectrum.
 
-    Returns one fit per spin, in SPINS order.  A span of at least 2.5 slow
-    cyclotron-like periods fits |omega1|, omega2, |omega3| plus a constant.
-    A shorter one, as very small |epsilon| needs, fits only the two trembling
-    modes and absorbs the unresolved slow mode in a cubic trend.  Either way
-    freqs[-2:] are omega2 and |omega3|.
+    Returns one fit per spin, in SPINS order.  Each fit reads every
+    int(FIT_STEP / dt)-th sample.  Its seeds are the three signed modes that
+    :func:`pencil_frequencies` finds in w = v_x + i v_y, and it refines
+    |omega_slow|, omega_+, |omega_-| plus a constant against v_x, so freqs[-2:]
+    are the positive and the negative trembling mode.  No cubic is consulted.
     """
     runs = [replace(params, spin=spin) for spin in SPINS]
     traj = integrate(np.stack([make_initial_state(p) for p in runs]), params, tau_max, dt)
-    slow_period = TWO_PI / max(2.0 * abs(params.epsilon), 1e-30)
+    stride = max(1, int(FIT_STEP / dt))
+    tau, v = traj.tau[::stride], traj.v[::stride]
     fits = []
-    for k, p in enumerate(runs):
-        exact = solve_cubic_exact(characteristic_cubic(p))
-        if tau_max >= 2.5 * slow_period:
-            seeds, trend = np.abs(exact.as_array()), 0
-        else:
-            seeds, trend = np.array([exact.omega2, abs(exact.omega3)]), 3
-        fits.append(fit_frequencies(traj.tau, traj.v[:, k, 1], seeds, trend_degree=trend))
+    for k in range(len(SPINS)):
+        w = v[:, k, 1] + 1j * v[:, k, 2]
+        neg, slow, pos = np.sort(pencil_frequencies(w, stride * dt, rank=3))  # ~ -2, ~0, ~2
+        fits.append(fit_frequencies(tau, w.real, [abs(slow), pos, abs(neg)]))
     return tuple(fits)

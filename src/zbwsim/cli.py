@@ -184,10 +184,13 @@ def _sweep_cell(job: tuple[float, str]) -> list[tuple]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     work = [(eps, ap) for eps in args.epsilons
             for ap in ("quantum", "classical_accurate", "classical_rough")]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool starts all its workers up front, so start no more than there is work
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(work))) as pool:
             chunks = list(pool.map(_sweep_cell, work))
     else:
         chunks = [_sweep_cell(j) for j in work]

@@ -1,12 +1,12 @@
-"""Sinusoid frequency estimation by variable projection.
+"""Sinusoid frequency estimation: matrix-pencil seeds, variable-projection refinement.
 
-For trial frequencies the sinusoid amplitudes and a polynomial trend are
-solved linearly, and only the frequencies are refined nonlinearly (Golub &
-Pereyra, SIAM J. Numer. Anal. 10 (1973) 413).  A single-tone fit is the
-one-frequency, constant-trend case seeded from the periodogram; multi-tone
-fits are seeded by the caller.  Least-squares fitting resolves frequency
-shifts far below the DFT bin width, which is what the weak-field shifts
-require.
+:func:`pencil_frequencies` reads the modes of a series off the shift
+invariance of its Hankel matrix (Hua & Sarkar, IEEE Trans. ASSP 38 (1990)
+814), from the data alone.  The fits then solve the sinusoid amplitudes and a
+polynomial trend linearly and refine only the frequencies (Golub & Pereyra,
+SIAM J. Numer. Anal. 10 (1973) 413): a single tone seeded from the pencil's
+fastest mode, or several tones seeded by the caller.  This resolves frequency
+shifts far below the DFT bin width, as the weak-field shifts require.
 """
 from __future__ import annotations
 
@@ -19,6 +19,8 @@ from scipy.optimize import least_squares
 TWO_PI = 2.0 * math.pi
 RESIDUAL_TOL = 0.01  # largest RMS residual accepted, as a fraction of the largest
                      # amplitude and of the RMS of the centred data
+PENCIL_WINDOW = 12   # Hankel window of pencil_frequencies, samples past the first
+PENCIL_RTOL = 1e-9   # singular values above this times the largest count as modes
 
 
 class FitFailureError(RuntimeError):
@@ -57,19 +59,25 @@ def _samples(times: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndar
     return t, y, float(dt.mean())
 
 
-def _fft_frequency_guess(t: np.ndarray, y: np.ndarray) -> float:
-    """Peak of the zero-padded periodogram with parabolic interpolation."""
-    dt = t[1] - t[0]
-    yz = y - y.mean()
-    n = 8 * len(yz)
-    spec = np.abs(np.fft.rfft(yz, n=n))
-    k = int(np.argmax(spec[1:])) + 1
-    if 1 <= k < len(spec) - 1:
-        a, b, c = spec[k - 1], spec[k], spec[k + 1]
-        denom = a - 2.0 * b + c
-        if denom != 0.0:
-            k = k + 0.5 * (a - c) / denom
-    return TWO_PI * k / (n * dt)
+def pencil_frequencies(values: np.ndarray, dt: float, rank: int | None = None) -> np.ndarray:
+    """Signed omega_k of the modes e^{-i omega_k t} in a series sampled every dt.
+
+    The right singular vectors of the Hankel matrix H[i, j] = y[i + j], j <=
+    PENCIL_WINDOW (half a shorter series), span the mode vectors (z_k^j),
+    z_k = e^{-i omega_k dt}, whose z_k are the eigenvalues of the pencil
+    between that basis and its one-step shift; |omega_k dt| <= pi.  rank is
+    the number of modes, by default the singular values above PENCIL_RTOL
+    times the largest (none for a zero series).
+    """
+    y = np.asarray(values)
+    window = min(PENCIL_WINDOW, len(y) // 2)
+    hankel = np.lib.stride_tricks.sliding_window_view(y, window + 1)
+    _, s, vh = np.linalg.svd(hankel, full_matrices=False)
+    if rank is None:
+        rank = int(np.count_nonzero(s > PENCIL_RTOL * s[0]))
+    basis = vh[: min(rank, window)].T
+    shift = np.linalg.lstsq(basis[:-1], basis[1:], rcond=None)[0]
+    return -np.angle(np.linalg.eigvals(shift)) / dt
 
 
 def _design(freqs: np.ndarray, t: np.ndarray, trend_degree: int) -> np.ndarray:
@@ -114,12 +122,15 @@ def _varpro(t: np.ndarray, y: np.ndarray, seeds: np.ndarray,
 def fit_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
     """Fit A sin(omega t + phi) + c to a uniformly sampled series.
 
-    Raises ValueError when the sampling is too coarse or the span too short
-    for the periodogram's frequency, before any fitting, and FitFailureError
-    when the residual fails the gate.
+    The seed is the fastest mode of :func:`pencil_frequencies`.  Raises
+    ValueError when the series holds no tone, or the sampling is too coarse
+    or the span too short for the seed's period, before any fitting, and
+    FitFailureError when the residual fails the gate.
     """
     t, y, dt = _samples(times, values)
-    w0 = _fft_frequency_guess(t, y)
+    w0 = float(np.abs(pencil_frequencies(y, dt)).max(initial=0.0))
+    if not w0 > 0.0:
+        raise ValueError("no tone in the series: it is constant")
     period = TWO_PI / w0
     if dt > period / 8.0:
         raise ValueError(f"fewer than 8 samples per period {period:g}")

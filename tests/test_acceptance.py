@@ -150,8 +150,9 @@ def test_criterion_5_classical_dynamics_consistency():
 def test_criterion_6_cp_verdicts():
     p = DimensionlessParams(epsilon=-1e-4)
     q_rep = symmetry.cp_check(symmetry.shift_table("quantum", p))
-    # trajectory-fitted classical table; the slow mode is unresolvable at this
-    # epsilon and is absorbed into a trend, so only fast modes are fitted
+    # trajectory-fitted classical table: all three modes, seeded from the
+    # trajectory's own matrix pencil; the slow one spans 0.13 periods here
+    # and no cell reads it
     c_rep = symmetry.cp_check(
         symmetry.fitted_classical_table(p, tau_max=4000.0, dt=0.015), rel_tol=1e-4
     )

@@ -428,11 +428,19 @@ def test_full_vs_reduced_vx():
     assert np.max(np.abs(full.v[:, 1] - reduced[:, 0])) <= 1e-6
 
 
-def test_spectral_smoke():
+def test_spectral_smoke(monkeypatch):
+    """Both spins' fits end in the fast pair, found in the trajectory without the cubic."""
     p = DimensionlessParams(epsilon=-1e-2)
-    fits = bz.spectral_frequencies(p, tau_max=200.0, dt=0.02)  # fast modes + trend
+    exact = [bz.solve_cubic_exact(bz.characteristic_cubic(replace(p, spin=s)))
+             for s in ("up", "down")]
+
+    def no_roots(*args, **kwargs):
+        raise AssertionError("the fit path must not solve the cubic")
+
+    monkeypatch.setattr(bz, "solve_cubic_exact", no_roots)
+    monkeypatch.setattr(bz, "perturbative_roots", no_roots)
+    fits = bz.spectral_frequencies(p, tau_max=200.0, dt=0.02)  # slow mode, then the fast pair
     assert len(fits) == 2
-    for spin, fit in zip(("up", "down"), fits):
-        exact = bz.solve_cubic_exact(bz.characteristic_cubic(replace(p, spin=spin)))
-        assert fit.freqs[0] == pytest.approx(exact.omega2, rel=1e-4)
-        assert fit.freqs[1] == pytest.approx(abs(exact.omega3), rel=1e-4)
+    for fit, roots in zip(fits, exact):
+        assert fit.freqs[-2] == pytest.approx(roots.omega2, rel=1e-4)
+        assert fit.freqs[-1] == pytest.approx(abs(roots.omega3), rel=1e-4)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -142,11 +143,38 @@ def test_sweep_deterministic(tmp_path):
     assert lines[0] == "epsilon,charge,spin,approach,delta_omega,cp_verdict"
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
-    a, b = tmp_path / "s.csv", tmp_path / "p.csv"
+def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
+    """Parallel sweeps write the serial bytes; no more workers start than work items (3)."""
+    workers = []
+
+    def pool(max_workers):
+        workers.append(max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+    a = tmp_path / "s.csv"
     assert main(["sweep", "--epsilons", "-1e-3", "--jobs", "1", "--out", str(a)]) == 0
-    assert main(["sweep", "--epsilons", "-1e-3", "--jobs", "2", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    for jobs in ("2", "6"):
+        b = tmp_path / f"p{jobs}.csv"
+        assert main(["sweep", "--epsilons", "-1e-3", "--jobs", jobs, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+    assert workers == [2, 3]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--epsilons", "-1e-3", "--jobs", jobs, "--out", str(out)]) == 2
+    assert _one_error_line(capsys.readouterr().err)["error"] == "config"
+    assert not out.exists()
+
+
+def test_compare_fit_at_large_field(tmp_path):
+    """At epsilon = -0.099 the fit seeds come from the trajectory and still converge."""
+    out = tmp_path / "r.json"
+    assert main(["compare", "--epsilon", "-0.099", "--fit", "--out", str(out)]) == 0
+    fitted = json.loads(_read(out))["fitted"]["classical_accurate"]
+    assert fitted["cp"]["verdict"] == "cp_violated"
 
 
 def test_svg_outputs(tmp_path):

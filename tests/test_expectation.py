@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import zbwsim
 from zbwsim import expectation
@@ -28,7 +30,7 @@ from zbwsim.expectation import (
     spin_interpretation,
 )
 from zbwsim import fitting
-from zbwsim.fitting import FitFailureError, fit_frequencies, fit_sinusoid
+from zbwsim.fitting import FitFailureError, fit_frequencies, fit_sinusoid, pencil_frequencies
 from zbwsim.packet import GaussianProfile, k_factors, packet_norm_constant
 from zbwsim.units import OMEGA_ZBW, DimensionlessParams, cyclotron_frequency
 
@@ -248,6 +250,50 @@ def test_fit_sinusoid_sampling_guards(monkeypatch):
     y[5] = math.nan
     with pytest.raises(ValueError, match="values must be finite"):
         fit_sinusoid(t, y)
+
+
+def test_pencil_recovers_signed_modes():
+    """Three complex modes e^{-i omega_k t} with known signs, as in w = v_x + i v_y.
+
+    Conjugating the singular vectors would flip every sign, and after the
+    cells' |omega| an error of exactly 2|epsilon| would remain.
+    """
+    h = 0.3
+    t = h * np.arange(4000)
+    omega = np.array([-2.0001, 4e-4, 1.9997])
+    w = np.exp(-1j * np.outer(t, omega)) @ np.array([0.4 - 0.1j, 0.02, 1.0 + 0.3j])
+    for rank in (3, None):
+        assert np.max(np.abs(np.sort(pencil_frequencies(w, h, rank)) - omega)) <= 1e-12
+
+
+def test_pencil_rank_follows_the_data():
+    """A tone with no offset has two modes; a fixed order 3 would add a noise mode."""
+    t = np.arange(0, 100, 0.01)
+    assert np.sort(pencil_frequencies(np.sin(2.0 * t), 0.01)) == pytest.approx([-2.0, 2.0],
+                                                                               rel=1e-10)
+    assert np.abs(pencil_frequencies(np.sin(2.0 * t) + 0.3, 0.01)).min() <= 1e-10
+    assert pencil_frequencies(np.zeros_like(t), 0.01).size == 0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.floats(-1e3, 1e3, allow_subnormal=False), st.floats(0.0, 5.0),
+       st.floats(-1e3, 1e3, allow_subnormal=False))
+@example(0.0, 2.0, 0.0)  # the zero series
+@example(0.0, 2.0, 1.5)  # a constant
+@example(3.0, 0.0, 0.0)  # sin(0 t + phi), a constant again
+def test_fit_sinusoid_contract(amplitude, omega, offset):
+    """A constant series raises ValueError; anything else fits or raises a fit error."""
+    t = np.arange(0, 60, 0.05)
+    y = amplitude * np.sin(omega * t + 0.3) + offset
+    if np.ptp(y) == 0.0:
+        with pytest.raises(ValueError, match="no tone"):
+            fit_sinusoid(t, y)
+        return
+    try:
+        fit = fit_sinusoid(t, y)
+    except (ValueError, FitFailureError):
+        return
+    assert np.isfinite([fit.omega, fit.amplitude, fit.phase, fit.offset, fit.residual_rms]).all()
 
 
 def test_fit_frequencies_residual_gate():

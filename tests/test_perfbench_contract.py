@@ -14,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from zbwsim import symmetry
+import numpy as np
+
+from zbwsim import fitting, symmetry
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -49,3 +51,16 @@ def test_timed_imports_happen_in_cli_import():
 
 def test_fitted_classical_table_takes_the_benchmark_arguments():
     inspect.signature(symmetry.fitted_classical_table).bind(None, tau_max=200.0, dt=0.04)
+
+
+def test_fit_frequencies_takes_the_benchmark_trend_call():
+    """The trajectory_export gate fits the fast modes over a cubic trend, trend_degree=3.
+
+    No package path passes trend_degree > 0, so this is what keeps it working.
+    """
+    inspect.signature(fitting.fit_frequencies).bind(None, None, None, trend_degree=3)
+    t = np.arange(0.0, 100.0, 0.02)
+    trend = 0.3 + 0.2 * (t / 100.0) - 0.5 * (t / 100.0) ** 3
+    y = np.sin(2.004 * t) + 0.6 * np.cos(1.997 * t + 0.4) + trend
+    fit = fitting.fit_frequencies(t, y, [2.0035, 1.9975], trend_degree=3)
+    assert fit.freqs == pytest.approx([2.004, 1.997], rel=1e-10)
