@@ -17,8 +17,11 @@ of Q depend on the field.  :func:`integrate` (any leading batch shape) expands
 the state in Taylor blocks to order TAYLOR_ORDER by a Cauchy-product
 recursion, takes each block's length from the series' last two coefficients,
 and yields every sample it covers on the caller's grid tau = dt * arange(n + 1)
-from one matmul.  The number of blocks follows the dynamics, not dt, and DT_MAX
-bounds the sampling (at least 50 samples per trembling period), not accuracy.
+from one matmul.  The recursion's workspace (an order-major coefficient
+buffer, the product sums and each order's operand views) is built once per
+run, so an order costs two numpy calls.  The number of blocks follows the
+dynamics, not dt, and DT_MAX bounds the sampling (at least 50 samples per
+trembling period), not accuracy.
 The constant-spin reduction (:func:`integrate_reduced`) is linear and solved
 exactly, as three modes over the characteristic cubic's roots.
 
@@ -30,6 +33,7 @@ for physical epsilon < 0), and s_z is identified with S^{12}.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -149,33 +153,42 @@ class BZTrajectory:
     S: np.ndarray
 
 
-def _order_weights(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(qs, qg): qs[k] = Q / (k + 1) for each order k, and qg the same gathered at _IJ."""
-    qs = q / np.arange(1.0, TAYLOR_ORDER + 1)[:, None, None]
-    return qs, qs.take(_IJ, axis=-1)
-
-
-def _series(z: np.ndarray, qs: np.ndarray, qg: np.ndarray) -> np.ndarray:
-    """Taylor coefficients c_0 .. c_TAYLOR_ORDER of z' = (z_I * z_J) Q at z, stacked on axis 0.
+def _recursion(batch: tuple[int, ...], q: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """series(z): Taylor coefficients c_0 .. c_TAYLOR_ORDER of z' = (z_I * z_J) Q, stacked on axis 0.
 
     With z = sum_k c_k t^k, the right-hand side's coefficient k is the
     Cauchy product sum_j c_j[I] * c_{k-j}[J] times Q, so c_{k+1} is that over
-    k + 1 (Jorba & Zou, Experimental Math. 14 (2005) 99).  (qs, qg) are
-    :func:`_order_weights`, so the recursion runs on the coefficients gathered
-    at _IJ (I then J), order on the last axis: one product-sum and one matmul
-    per order.  The coefficients themselves come from one batched matmul.
+    k + 1 (Jorba & Zou, Experimental Math. 14 (2005) 99).  The recursion runs
+    on the coefficients gathered at _IJ (I then J) in a workspace built here
+    once for states of shape batch + (29,): an order-major buffer g[o] of
+    shape batch + (2K,), the product sums s, and per order the operand views
+    of both calls, so each order is one matmul for the Cauchy product (g[:o+1]
+    at I against g[o::-1] at J, order moved last) into s[o], and one dot with
+    Q / (o + 1) gathered at _IJ into g[o + 1], which the order-major layout
+    keeps contiguous as dot's out requires.  The coefficients themselves come
+    from one batched matmul of s with Q / (k + 1).  series(z) refills the
+    workspace on every call.
     """
-    g = np.empty(z.shape[:-1] + (2 * _K, TAYLOR_ORDER + 1))
-    g[..., 0] = z.take(_IJ, axis=-1)
-    gi, gj = g[..., :_K, None, :], g[..., _K:, :, None]
-    s = np.empty((TAYLOR_ORDER,) + z.shape[:-1] + (_K, 1, 1))
-    for o in range(TAYLOR_ORDER):
-        np.matmul(gi[..., : o + 1], gj[..., o::-1, :], out=s[o])
-        np.matmul(s[o, ..., 0, 0], qg[o], out=g[..., o + 1])
-    c = np.empty((TAYLOR_ORDER + 1,) + z.shape)
-    c[0] = z
-    c[1:] = (s.reshape(TAYLOR_ORDER, -1, _K) @ qs).reshape(c[1:].shape)
-    return c
+    qs = q / np.arange(1.0, TAYLOR_ORDER + 1)[:, None, None]
+    qg = qs.take(_IJ, axis=-1)
+    g = np.empty((TAYLOR_ORDER + 1,) + batch + (2 * _K,))
+    s = np.empty((TAYLOR_ORDER,) + batch + (_K, 1, 1))
+    orders = [(np.moveaxis(g[: o + 1, ..., :_K, None], 0, -1),   # batch + (K, 1, o + 1)
+               np.moveaxis(g[o::-1, ..., _K:, None], 0, -2),     # batch + (K, o + 1, 1)
+               s[o], s[o, ..., 0, 0], qg[o], g[o + 1]) for o in range(TAYLOR_ORDER)]
+    sums = s.reshape(TAYLOR_ORDER, -1, _K)
+
+    def series(z: np.ndarray) -> np.ndarray:
+        np.take(z, _IJ, axis=-1, out=g[0])
+        for gi, gj, product, row, qo, nxt in orders:
+            np.matmul(gi, gj, out=product)
+            row.dot(qo, out=nxt)
+        c = np.empty((TAYLOR_ORDER + 1,) + z.shape)
+        c[0] = z
+        c[1:] = (sums @ qs).reshape(c[1:].shape)
+        return c
+
+    return series
 
 
 def _block_samples(c: np.ndarray, dt: float, left: int) -> int:
@@ -209,9 +222,11 @@ def integrate(
 ) -> BZTrajectory:
     """Full (x, pi, v, S) system from flat state0 of shape (28,) or (B, 28) over [0, tau_max].
 
-    Each block expands z = (state, 1.0) in a Taylor series (:func:`_series`)
-    and evaluates it at the m grid points it covers (:func:`_block_samples`)
-    with one matmul against their powers; the last of them starts the next.
+    The Taylor recursion's workspace (:func:`_recursion`) and the powers of
+    the grid offsets are built once per call, for the whole run.  Each block
+    expands z = (state, 1.0) in a Taylor series on that workspace and
+    evaluates it at the m grid points it covers (:func:`_block_samples`) with
+    one matmul against their powers; the last of them starts the next.
     """
     y0 = np.asarray(state0, dtype=float)
     if y0.shape[-1:] != (_ONE,):
@@ -221,11 +236,11 @@ def integrate(
     z = np.concatenate((y0, np.ones(y0.shape[:-1] + (1,))), axis=-1)
     out = np.empty((n + 1, z.size))
     out[0] = z.ravel()
-    weights = _order_weights(quadratic_form(_eb(params)))
+    series = _recursion(y0.shape[:-1], quadratic_form(_eb(params)))
     powers = (dt * np.arange(1, min(n, TAYLOR_CAP) + 1))[:, None] ** np.arange(TAYLOR_ORDER + 1)
     i = 0
     while i < n:
-        c = _series(z, *weights)
+        c = series(z)
         m = _block_samples(c, dt, n - i)
         block = out[i + 1 : i + 1 + m]
         np.matmul(powers[:m], c.reshape(TAYLOR_ORDER + 1, -1), out=block)

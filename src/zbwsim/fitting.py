@@ -67,10 +67,15 @@ def pencil_frequencies(values: np.ndarray, dt: float, rank: int | None = None) -
     z_k = e^{-i omega_k dt}, whose z_k are the eigenvalues of the pencil
     between that basis and its one-step shift; |omega_k dt| <= pi.  rank is
     the number of modes, by default the singular values above PENCIL_RTOL
-    times the largest (none for a zero series).
+    times the largest (none for a zero series).  A given rank above the
+    window, which a series shorter than 2 * rank samples implies, raises
+    ValueError.
     """
     y = np.asarray(values)
     window = min(PENCIL_WINDOW, len(y) // 2)
+    if rank is not None and rank > window:
+        raise ValueError(f"rank {rank} exceeds the pencil window {window} of a series of "
+                         f"{len(y)} samples")
     hankel = np.lib.stride_tricks.sliding_window_view(y, window + 1)
     _, s, vh = np.linalg.svd(hankel, full_matrices=False)
     if rank is None:

@@ -275,6 +275,14 @@ def test_pencil_rank_follows_the_data():
     assert pencil_frequencies(np.zeros_like(t), 0.01).size == 0
 
 
+def test_pencil_rank_above_the_window_raises():
+    """A given rank needs 2 * rank samples; fewer raised no error and returned fewer modes."""
+    t = 0.3 * np.arange(5)
+    with pytest.raises(ValueError, match="series of 5 samples"):
+        pencil_frequencies(np.exp(-2j * t), 0.3, rank=3)
+    assert pencil_frequencies(np.exp(-2j * 0.3 * np.arange(6)), 0.3, rank=3).shape == (3,)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.floats(-1e3, 1e3, allow_subnormal=False), st.floats(0.0, 5.0),
        st.floats(-1e3, 1e3, allow_subnormal=False))

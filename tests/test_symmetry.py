@@ -94,6 +94,13 @@ def test_fitted_quantum_table_matches_formula():
     assert symmetry.cp_check(fitted, rel_tol=1e-4).verdict == "cp_respected"
 
 
+def test_fitted_classical_table_too_short_raises():
+    """tau_max = 1 leaves the fit 4 strided samples, too few for its 3 modes: a
+    ValueError that names the count, not a 2-mode fit that fails to unpack."""
+    with pytest.raises(ValueError, match="series of 4 samples"):
+        symmetry.fitted_classical_table(P, tau_max=1.0, dt=0.02)
+
+
 def test_discrepancy_report_formula_level():
     report = symmetry.discrepancy_report(P, include_trajectories=False)
     assert report["epsilon"] == EPS
