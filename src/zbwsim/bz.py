@@ -5,7 +5,8 @@ Taylor method and dense output, solves the characteristic cubic for the
 planar rotation frequencies exactly and perturbatively, and extracts mode
 frequencies from simulated trajectories: :func:`spectral_frequencies` seeds
 its fits from the matrix pencil of v_x + i v_y, never from the cubic, so the
-fitted frequencies check the roots rather than restate them.
+fitted frequencies check the roots rather than restate them, and fits samples
+about fitting.FIT_STEP apart (10 per trembling period), not the whole grid.
 
 A phase point is one flat vector of 28 floats: y[0:4] = x, y[4:8] = pi,
 y[8:12] = v and y[12:28] = S^{mu nu} in row-major order; a batch of runs is
@@ -38,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fitting import FrequencyFit, fit_frequencies, pencil_frequencies
+from .fitting import FIT_STEP, FrequencyFit, fit_frequencies, pencil_frequencies
 from .units import OMEGA_ZBW, SPINS, DimensionlessParams, step_count
 
 TWO_PI = 2.0 * math.pi
@@ -48,7 +49,6 @@ BLOWUP = 1e6                            # largest |state component| an integrati
 TAYLOR_ORDER = 32                       # degree of the Taylor polynomial of each block
 TAYLOR_TOL = 1e-16                      # per-block truncation, relative to 1 + |state|
 TAYLOR_CAP = 256                        # most dt samples one block may cover
-FIT_STEP = math.pi / 10.0               # spectral fits' sample spacing: 10 per trembling period
 _TINY = np.finfo(float).tiny
 
 
@@ -384,7 +384,8 @@ def spectral_frequencies(
     """Integrate both spins' field runs in one batch and fit each v_x spectrum.
 
     Returns one fit per spin, in SPINS order.  Each fit reads every
-    int(FIT_STEP / dt)-th sample.  Its seeds are the three signed modes that
+    int(FIT_STEP / dt)-th sample (:data:`zbwsim.fitting.FIT_STEP`, 10 per
+    trembling period).  Its seeds are the three signed modes that
     :func:`pencil_frequencies` finds in w = v_x + i v_y, and it refines
     |omega_slow|, omega_+, |omega_-| plus a constant against v_x, so freqs[-2:]
     are the positive and the negative trembling mode.  No cubic is consulted.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import FitFailureError, SinusoidFit, fit_sinusoid
+from .fitting import FIT_STEP, FitFailureError, SinusoidFit, fit_sinusoid
 from .packet import GaussianProfile, k_factors, packet_norm_constant
 from .units import LAMBDA_C, OMEGA_ZBW, DimensionlessParams, cyclotron_frequency, step_count
 
@@ -130,8 +130,18 @@ def quantum_trajectory(params: DimensionlessParams, t_max: float | None = None,
 
 
 def extract_frequency(traj: Trajectory) -> SinusoidFit:
-    """Single-sinusoid fit of the trajectory's x component."""
-    return fit_sinusoid(traj.times, traj.positions[:, 0])
+    """Single-sinusoid fit of the trajectory's x component on every s-th sample.
+
+    s is the largest stride at most FIT_STEP / dt (at least 1) that divides
+    the interval count, so the fit reads about 10 samples per trembling
+    period, 1,001 of the default trajectory's 10,001, and keeps both ends of
+    the span: a stride that dropped a partial last interval could shorten
+    the span below the fit's 3 periods.
+    """
+    intervals = len(traj.times) - 1
+    most = max(1, int(FIT_STEP / (traj.times[1] - traj.times[0]))) if intervals else 1
+    stride = next(s for s in range(most, 0, -1) if intervals % s == 0)
+    return fit_sinusoid(traj.times[::stride], traj.positions[::stride, 0])
 
 
 def magnetic_moment_expectation(params: DimensionlessParams, t: float | np.ndarray) -> np.ndarray:

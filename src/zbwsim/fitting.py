@@ -7,6 +7,11 @@ polynomial trend linearly and refine only the frequencies (Golub & Pereyra,
 SIAM J. Numer. Anal. 10 (1973) 413): a single tone seeded from the pencil's
 fastest mode, or several tones seeded by the caller.  This resolves frequency
 shifts far below the DFT bin width, as the weak-field shifts require.
+
+The fitters fit exactly the samples they are given.  FIT_STEP is the
+spacing their package callers thin a trajectory to before fitting, 10
+samples per trembling period: :func:`zbwsim.bz.spectral_frequencies` and
+:func:`zbwsim.expectation.extract_frequency`.
 """
 from __future__ import annotations
 
@@ -21,6 +26,7 @@ RESIDUAL_TOL = 0.01  # largest RMS residual accepted, as a fraction of the large
                      # amplitude and of the RMS of the centred data
 PENCIL_WINDOW = 12   # Hankel window of pencil_frequencies, samples past the first
 PENCIL_RTOL = 1e-9   # singular values above this times the largest count as modes
+FIT_STEP = math.pi / 10.0  # sample spacing the fit paths read: 10 per trembling period
 
 
 class FitFailureError(RuntimeError):
@@ -65,7 +71,9 @@ def pencil_frequencies(values: np.ndarray, dt: float, rank: int | None = None) -
     The right singular vectors of the Hankel matrix H[i, j] = y[i + j], j <=
     PENCIL_WINDOW (half a shorter series), span the mode vectors (z_k^j),
     z_k = e^{-i omega_k dt}, whose z_k are the eigenvalues of the pencil
-    between that basis and its one-step shift; |omega_k dt| <= pi.  rank is
+    between that basis and its one-step shift; |omega_k dt| <= pi.  H is
+    factored once, H = QR, and the SVD is taken of the small square R, which
+    has the same singular values and right singular vectors.  rank is
     the number of modes, by default the singular values above PENCIL_RTOL
     times the largest (none for a zero series).  A given rank above the
     window, which a series shorter than 2 * rank samples implies, raises
@@ -77,7 +85,7 @@ def pencil_frequencies(values: np.ndarray, dt: float, rank: int | None = None) -
         raise ValueError(f"rank {rank} exceeds the pencil window {window} of a series of "
                          f"{len(y)} samples")
     hankel = np.lib.stride_tricks.sliding_window_view(y, window + 1)
-    _, s, vh = np.linalg.svd(hankel, full_matrices=False)
+    _, s, vh = np.linalg.svd(np.linalg.qr(hankel, mode="r"), full_matrices=False)
     if rank is None:
         rank = int(np.count_nonzero(s > PENCIL_RTOL * s[0]))
     basis = vh[: min(rank, window)].T

@@ -238,6 +238,14 @@ def test_zero_span_outputs(tmp_path, capsys):
     assert "at least 8 samples" in _one_error_line(capsys.readouterr().err)["detail"]
 
 
+def test_quantum_fit_keeps_a_span_just_over_three_periods(tmp_path, capsys):
+    """The fit's stride divides the interval count, so the last partial stride is not dropped."""
+    rc = main(["quantum", "--epsilon", "-1e-2", "--t-max", "9.37", "--fit",
+               "--out", str(tmp_path / "q.csv")])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["omega"] == pytest.approx(2.02, rel=1e-12)
+
+
 def test_unwritable_output_exit_code(tmp_path, capsys):
     rc = main(["roots", "--epsilon", "-1e-3", "--out", str(tmp_path / "missing" / "x.json")])
     assert rc == 2

@@ -197,6 +197,32 @@ def test_free_limit():
     assert fit.amplitude == pytest.approx(0.5, abs=1e-9)
 
 
+def test_extract_frequency_reads_ten_samples_per_period(monkeypatch):
+    seen = []
+
+    def spy(times, values):
+        seen.append((times, values))
+        return fit_sinusoid(times, values)
+
+    monkeypatch.setattr(expectation, "fit_sinusoid", spy)
+    traj = quantum_trajectory(DimensionlessParams(epsilon=-1e-3))
+    extract_frequency(traj)
+    (times, values), = seen
+    assert len(traj.times) == 10_001 and len(times) == len(values) == 1_001
+    assert (times[0], times[-1]) == (traj.times[0], traj.times[-1])  # both ends kept
+
+
+def test_strided_fit_matches_the_full_grid():
+    """Every cell fits the same omega on every tenth sample as on all of them."""
+    for eps, spin, charge, r0 in itertools.product(
+            (-1e-9, -1e-6, -1e-4, -1e-3, -1e-2, -0.09), ("up", "down"),
+            ("electron", "positron"), (10.0, 100.0, 1000.0)):
+        p = DimensionlessParams(epsilon=eps, spin=spin, charge=charge, r0_over_lambda=r0)
+        traj = quantum_trajectory(p)
+        full = fit_sinusoid(traj.times, traj.positions[:, 0])
+        assert abs(extract_frequency(traj).omega - full.omega) <= 1e-12, (eps, spin, charge, r0)
+
+
 def test_phase_enters_with_spin_sign():
     up = position_expectation(DimensionlessParams(epsilon=0.0, spin="up", phi0=0.4), 0.0)
     down = position_expectation(DimensionlessParams(epsilon=0.0, spin="down", phi0=0.4), 0.0)
@@ -273,6 +299,42 @@ def test_pencil_rank_follows_the_data():
                                                                                rel=1e-10)
     assert np.abs(pencil_frequencies(np.sin(2.0 * t) + 0.3, 0.01)).min() <= 1e-10
     assert pencil_frequencies(np.zeros_like(t), 0.01).size == 0
+
+
+def _tall_singular_values(y):
+    window = min(fitting.PENCIL_WINDOW, len(y) // 2)
+    hankel = np.lib.stride_tricks.sliding_window_view(y, window + 1)
+    return np.linalg.svd(hankel, compute_uv=False)
+
+
+def test_pencil_factors_the_hankel_matrix_once(monkeypatch):
+    """The SVD of the square R factor gives the tall Hankel matrix's singular values and rank."""
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        out = svd(a, *args, **kwargs)
+        seen.append((a.shape, out[1]))
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    h = 0.3
+    t = h * np.arange(4000)
+    omega = np.array([-2.0001, 4e-4, 1.9997])
+    w = np.exp(-1j * np.outer(t, omega)) @ np.array([0.4 - 0.1j, 0.02, 1.0 + 0.3j])
+    pencil_frequencies(w, h)
+    (shape, s), = seen
+    assert shape == (13, 13)
+    tall = _tall_singular_values(w)
+    assert np.max(np.abs(s[:3] - tall[:3]) / tall[:3]) <= 1e-12
+    assert fitting.PENCIL_RTOL == 1e-9
+    t = np.arange(0, 100, 0.01)
+    for y, rank in ((np.sin(2.0 * t), 2), (np.zeros_like(t), 0), (np.full_like(t, 0.7), 1)):
+        seen.clear()
+        assert pencil_frequencies(y, 0.01).size == rank
+        tall = _tall_singular_values(y)
+        assert np.count_nonzero(tall > fitting.PENCIL_RTOL * tall[0]) == rank
+        assert np.count_nonzero(seen[0][1] > fitting.PENCIL_RTOL * seen[0][1][0]) == rank
 
 
 def test_pencil_rank_above_the_window_raises():
