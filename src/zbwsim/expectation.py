@@ -3,10 +3,12 @@
 Builds <r>(t) at a fixed azimuth phi0, the closed-form planar and axial
 weights I and J with their quadrature cross-checks, the magnetic-moment
 expectation, and the classical spin-interpretation quantities.  The packet's
-spinors are built once, on the cached (pi, theta) quadrature grid, by
-:func:`_drift_spinors`, and paired through :func:`_alpha_pair`.  The shifted
-planar frequency is omega_zbw + s * omega_c with s = +1 for (electron, up)
-and (positron, down), s = -1 otherwise.
+spinors are built once, as real arrays on the cached (pi, theta) quadrature
+grid, by :func:`_drift_spinors`.  The Dirac alpha matrices are stated once,
+as ``_ALPHA``: :func:`_alpha_pair` pairs two spinors through them, and
+:func:`drift_velocity` contracts them with the spinors' 4x4 moment matrices.
+The shifted planar frequency is omega_zbw + s * omega_c with s = +1 for
+(electron, up) and (positron, down), s = -1 otherwise.
 """
 from __future__ import annotations
 
@@ -29,6 +31,11 @@ TWO_PI = 2.0 * PI
 N_THETA = 64
 N_U = 96
 U_MAX = 8.0
+
+# Dirac alpha matrices, (3, 4, 4): the Pauli matrices in the off-diagonal 2x2 blocks
+_ALPHA = np.zeros((3, 4, 4), dtype=complex)
+_ALPHA[:, :2, 2:] = _ALPHA[:, 2:, :2] = [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
+_ALPHA.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -106,15 +113,16 @@ def shifted_frequency(params: DimensionlessParams) -> float:
 def position_expectation(params: DimensionlessParams, t: float | np.ndarray) -> np.ndarray:
     """<r>(t) at the fixed azimuth phi0 in Compton-wavelength units; shape (3,) or (N, 3).
 
-    Only the planar rotation contributes, since the axial weight J vanishes.
-    Adding onto zeros turns the z column's -0.0 into 0.0.
+    Only the planar rotation contributes, since the axial weight J vanishes,
+    so only the x and y columns are evaluated and z stays +0.0, also at a
+    NaN t.  The planar columns are added onto zeros, which turns a -0.0
+    into 0.0.
     """
     ts = np.asarray(t, dtype=float)
     phase0 = params.spin_sign * params.phi0  # spin-down enters with -phi
-    amplitude = np.array([LAMBDA_C / 2.0, LAMBDA_C / 2.0, 0.0])
-    phase = np.array([phase0, phase0 - PI / 2.0, 0.0])
+    phase = np.array([phase0, phase0 - PI / 2.0])
     out = np.zeros(ts.shape + (3,))
-    out += amplitude * np.sin(shifted_frequency(params) * ts[..., None] + phase)
+    out[..., :2] += LAMBDA_C / 2.0 * np.sin(shifted_frequency(params) * ts[..., None] + phase)
     return out
 
 
@@ -193,30 +201,31 @@ def spin_interpretation(params: DimensionlessParams, mode: str) -> SpinInterpret
 
 def _alpha_pair(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """Complex c1^dag alpha_i c2 for arrays of 4-spinors (..., 4); returns (..., 3)."""
-    a1, b1, e1, d1 = (np.conj(c1[..., i]) for i in range(4))
-    a2, b2, e2, d2 = (c2[..., i] for i in range(4))
-    return np.stack(
-        [
-            a1 * d2 + b1 * e2 + e1 * b2 + d1 * a2,
-            1j * (-a1 * d2 + b1 * e2 - e1 * b2 + d1 * a2),
-            a1 * e2 - b1 * d2 + e1 * a2 - d1 * b2,
-        ],
-        axis=-1,
-    )
+    c1 = np.conj(c1)
+    return np.stack([np.einsum("...a,...a->...", c1 @ alpha, c2) for alpha in _ALPHA], axis=-1)
 
 
-def _azimuth_sum(c0: np.ndarray, c1: np.ndarray, n_phi: int) -> np.ndarray:
-    """Sum of (2*pi/n_phi) c^dag alpha c over n_phi azimuth nodes, c = c0 + c1 e^{i phi}.
+def _azimuth_contraction(c0: np.ndarray, c1: np.ndarray, w: np.ndarray, n_phi: int) -> np.ndarray:
+    """Sum over nodes and n_phi azimuths of w (2*pi/n_phi) c^dag alpha c, c = c0 + c1 e^{i phi}.
 
-    Expanding the bilinear leaves only e^{0} and e^{i phi} terms, so the sum is
-    S0 (c0^dag alpha c0 + c1^dag alpha c1) + 2 Re(S1 c0^dag alpha c1) with
-    S_k = (2*pi/n_phi) sum_phi e^{i k phi} taken on the same nodes.
+    c0 and c1 are (..., 4) spinors and w broadcasts to their node shape.
+    Expanding the bilinear leaves only e^{0} and e^{i phi} terms, so the sum
+    is S0 alpha:D + 2 Re(S1 alpha:X), with S_k = (2*pi/n_phi) sum_phi e^{i k phi}
+    on the same azimuth nodes, alpha:M = sum_ab alpha_ab M_ab, and the 4x4
+    moment matrices D_ab = sum w (conj(c0_a) c0_b + conj(c1_a) c1_b) and
+    X_ab = sum w conj(c0_a) c1_b, three matmuls over the flattened nodes in
+    all.  Returns (3,).
     """
+    a, b = c0.reshape(-1, 4), c1.reshape(-1, 4)
+    wn = np.broadcast_to(w, c0.shape[:-1]).reshape(-1, 1)
+    ah, wb = a.conj().T, wn * b
+    diag = ah @ (wn * a) + b.conj().T @ wb
+    cross = ah @ wb
     phis = TWO_PI * np.arange(n_phi) / n_phi
     s0 = (TWO_PI / n_phi) * n_phi
     s1 = (TWO_PI / n_phi) * np.sum(np.exp(1j * phis))
-    diag = _alpha_pair(c0, c0).real + _alpha_pair(c1, c1).real
-    return s0 * diag + 2.0 * np.real(s1 * _alpha_pair(c0, c1))
+    alpha = _ALPHA.reshape(3, 16)
+    return s0 * (alpha @ diag.reshape(16)).real + 2.0 * np.real(s1 * (alpha @ cross.reshape(16)))
 
 
 def _drift_spinors(params: DimensionlessParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,8 +234,9 @@ def _drift_spinors(params: DimensionlessParams) -> tuple[np.ndarray, np.ndarray,
     The first-order amplitudes of the spin-up localized packet with profile f:
     pos_up = f (1, 0, K pi_z, K pi_+), neg_up = f (0, 0, -K pi_z, 0) and
     neg_down = f (0, 0, 0, -K pi_+), which sum to f (1, 0, 0, 0).  Only
-    pi_+ = pi sin(theta) e^{i phi} carries the azimuth.  Returns c0 and c1,
-    each (3, nu, nt, 4), and the :func:`momentum_grid` weights.
+    pi_+ = pi sin(theta) e^{i phi} carries the azimuth, as the separate factor
+    on c1, so c0 and c1 are real.  Returns c0 and c1, each a float
+    (3, nu, nt, 4) array, and the :func:`momentum_grid` weights.
     """
     g = GaussianProfile.for_packet_width(params.r0_over_lambda)
     kk = k_factors(params).k
@@ -234,7 +244,7 @@ def _drift_spinors(params: DimensionlessParams) -> tuple[np.ndarray, np.ndarray,
     f = g.value(pi_m)
     kz = kk * pi_m * np.cos(th_m) * f
     kp = kk * pi_m * np.sin(th_m) * f
-    c0 = np.zeros((3,) + f.shape + (4,), dtype=complex)
+    c0 = np.zeros((3,) + f.shape + (4,))
     c1 = np.zeros_like(c0)
     c0[0, ..., 0] = f
     c0[0, ..., 2] = kz
@@ -245,14 +255,17 @@ def _drift_spinors(params: DimensionlessParams) -> tuple[np.ndarray, np.ndarray,
 
 
 def drift_velocity(params: DimensionlessParams, n_phi: int = 64) -> np.ndarray:
-    """Linear drift term of <r-dot>; vanishes for the localized initial state.
+    """Linear drift term of <r-dot> over n_phi azimuth nodes; vanishes for the localized state.
 
-    Each spinor is c0 + c1 e^{i phi} (:func:`_drift_spinors`), so the azimuth
-    sum is closed.
+    Each spinor is c0 + c1 e^{i phi} (:func:`_drift_spinors`), so the
+    azimuth sum is closed, and the (pi, theta) sum over the three spinors
+    contracts two 4x4 moment matrices with alpha (:func:`_azimuth_contraction`).
+    Raises ValueError unless n_phi is an integer >= 1.
     """
+    if not isinstance(n_phi, (int, np.integer)) or n_phi < 1:
+        raise ValueError(f"n_phi must be an integer >= 1, got {n_phi!r}")
     c0, c1, w_m = _drift_spinors(params)
-    dens = _azimuth_sum(c0, c1, n_phi).sum(axis=0)  # (nu, nt, 3)
-    return np.sum(w_m[..., None] * dens, axis=(0, 1))
+    return _azimuth_contraction(c0, c1, w_m, n_phi)
 
 
 def packet_normalization(params: DimensionlessParams) -> float:

@@ -14,7 +14,7 @@ import zbwsim
 from zbwsim import expectation
 from zbwsim.expectation import (
     _alpha_pair,
-    _azimuth_sum,
+    _azimuth_contraction,
     _drift_spinors,
     _leggauss,
     amplitude_coefficients,
@@ -164,6 +164,35 @@ def test_position_at_time_zero():
     p = DimensionlessParams(epsilon=-1e-3, spin="up", phi0=0.0)
     r = position_expectation(p, 0.0)
     assert np.allclose(r, [0.0, -0.5, 0.0], atol=1e-15)
+
+
+def _position_three_columns(params, t):
+    """<r>(t) as a sine over all three columns, z with amplitude 0, added onto zeros."""
+    ts = np.asarray(t, dtype=float)
+    phase0 = params.spin_sign * params.phi0
+    amplitude = np.array([0.5, 0.5, 0.0])
+    phase = np.array([phase0, phase0 - math.pi / 2.0, 0.0])
+    out = np.zeros(ts.shape + (3,))
+    out += amplitude * np.sin(shifted_frequency(params) * ts[..., None] + phase)
+    return out
+
+
+@pytest.mark.parametrize("charge", ["electron", "positron"])
+@pytest.mark.parametrize("spin", ["up", "down"])
+@pytest.mark.parametrize("phi0", [0.0, 2.5])
+def test_position_expectation_evaluates_only_the_planar_columns(charge, spin, phi0):
+    """The planar-only <r>(t) equals the three-column sine bit for bit; z is +0.0.
+
+    Scalar t, the default trajectory's 10,001 times and a short array; at a
+    NaN t the planar columns are NaN and z stays +0.0.
+    """
+    p = DimensionlessParams(epsilon=-1e-3, spin=spin, charge=charge, phi0=phi0)
+    for t in (0.0, 1.7, np.linspace(0.0, 50.0, 7), quantum_trajectory(p).times):
+        r = position_expectation(p, t)
+        assert np.array_equal(r, _position_three_columns(p, t))
+        assert np.all(np.copysign(1.0, r[..., 2]) == 1.0) and np.all(r[..., 2] == 0.0)
+    r = position_expectation(p, math.nan)
+    assert np.all(np.isnan(r[:2])) and math.copysign(1.0, r[2]) == 1.0 and r[2] == 0.0
 
 
 def test_fitted_frequency_spin_up_electron():
@@ -502,18 +531,36 @@ def test_alpha_pair_matches_alpha_matrices():
 
 @pytest.mark.parametrize("n_phi", [1, 3, 64])
 def test_azimuth_sum_matches_node_sum(n_phi):
-    """The closed pair form equals the sum over the azimuth nodes it replaces.
+    """The moment-matrix contraction equals the sum over the azimuth nodes it replaces.
 
+    On random complex spinors, node by node and weighted over all nodes.
     n_phi = 1 keeps the e^{i phi} cross term whole, so the factoring itself is
     checked, not only its cancellation.
     """
     rng = np.random.default_rng(6)
     c0, c1 = _random_spinors(rng, (7,)), _random_spinors(rng, (7,))
+    w = rng.uniform(0.5, 1.5, size=7)
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
     c = c0[:, None, :] + c1[:, None, :] * np.exp(1j * phis)[:, None]
     dens = np.einsum("npi,kij,npj->nk", c.conj(), np.array(ALPHA), c).real
     brute = (2.0 * math.pi / n_phi) * dens
-    np.testing.assert_allclose(_azimuth_sum(c0, c1, n_phi), brute, rtol=1e-12, atol=0.0)
+    nodes = [_azimuth_contraction(c0[n], c1[n], 1.0, n_phi) for n in range(7)]
+    np.testing.assert_allclose(nodes, brute, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(_azimuth_contraction(c0, c1, w, n_phi), w @ brute,
+                               rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n_phi", [0, -3, 2.5])
+def test_drift_velocity_rejects_a_bad_azimuth_count(n_phi):
+    """n_phi must be an integer >= 1: 0 raised ZeroDivisionError, -3 and 2.5 returned a drift."""
+    p = DimensionlessParams(epsilon=-1e-3)
+    with pytest.raises(ValueError, match=f"got {n_phi!r}"):
+        drift_velocity(p, n_phi=n_phi)
+
+
+def test_drift_velocity_takes_a_numpy_integer_azimuth_count():
+    p = DimensionlessParams(epsilon=-1e-3)
+    assert np.array_equal(drift_velocity(p, n_phi=np.int64(3)), drift_velocity(p, n_phi=3))
 
 
 def _drift_reference(params, n_phi=64):
@@ -545,6 +592,28 @@ def _drift_reference(params, n_phi=64):
 def test_drift_velocity_matches_azimuth_grid(r0, spin, charge):
     p = DimensionlessParams(epsilon=-1e-3, spin=spin, charge=charge, r0_over_lambda=r0)
     assert np.max(np.abs(drift_velocity(p) - _drift_reference(p))) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.floats(1.0, 12.0), st.floats(-0.099, 0.0), st.sampled_from(("up", "down")),
+       st.sampled_from(("electron", "positron")), st.floats(0.0, 2.0 * math.pi))
+@example(1.0, -0.099, "up", "electron", 0.0)     # the narrowest packet in the strongest field
+@example(12.0, 0.0, "down", "positron", 2.5)     # the widest packet in free space
+@example(12.0, -0.099, "down", "electron", 0.0)
+def test_quadrature_contract(log_r0, epsilon, spin, charge, phi0):
+    """Over r0 in [10, 1e12] and every epsilon, the quadratures meet the benchmark's gates.
+
+    I within a relative 1e-6 of the closed form, |J| <= 1e-10,
+    |norm - 1| <= 1e-9 and |drift| <= 1e-10.
+    """
+    p = DimensionlessParams(epsilon=epsilon, spin=spin, charge=charge,
+                            r0_over_lambda=10.0**log_r0, phi0=phi0)
+    i_val, j_val = amplitude_coefficients_quadrature(p)
+    closed = amplitude_coefficients(p)[0].value
+    assert abs(i_val - closed) <= 1e-6 * abs(closed)
+    assert abs(j_val) <= 1e-10
+    assert abs(packet_normalization(p) - 1.0) <= 1e-9
+    assert np.max(np.abs(drift_velocity(p))) <= 1e-10
 
 
 def test_leggauss_cache_is_shared_and_read_only():
