@@ -40,9 +40,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fitting import FIT_STEP, FrequencyFit, fit_frequencies, pencil_frequencies
-from .units import OMEGA_ZBW, SPINS, DimensionlessParams, step_count
+from .units import OMEGA_ZBW, SPINS, TWO_PI, DimensionlessParams, step_count
 
-TWO_PI = 2.0 * math.pi
 _G = np.array([1.0, -1.0, -1.0, -1.0])  # metric signature diag
 DT_MAX = TWO_PI / (50.0 * OMEGA_ZBW)    # sampling bound: at least 50 samples per trembling period
 BLOWUP = 1e6                            # largest |state component| an integration may reach

@@ -2,11 +2,13 @@
 
 Builds <r>(t) at a fixed azimuth phi0, the closed-form planar and axial
 weights I and J with their quadrature cross-checks, the magnetic-moment
-expectation, and the classical spin-interpretation quantities.  The packet's
-spinors are built once, as real arrays on the cached (pi, theta) quadrature
-grid, by :func:`_drift_spinors`.  The Dirac alpha matrices are stated once,
-as ``_ALPHA``: :func:`_alpha_pair` pairs two spinors through them, and
-:func:`drift_velocity` contracts them with the spinors' 4x4 moment matrices.
+expectation, and the classical spin-interpretation quantities.  The (pi, theta)
+quadrature mesh is built once, at pi0 = 1, and scaled to each packet width by
+:func:`momentum_grid`.  The packet's spinors are built as real arrays on it
+by :func:`_drift_spinors`.  The Dirac alpha matrices are stated once, as
+``_ALPHA``: :func:`_alpha_pair` pairs two spinors through them, and
+:func:`drift_velocity` contracts them with the spinors' one 4x4 moment matrix,
+the azimuth integrated exactly.
 The shifted planar frequency is omega_zbw + s * omega_c with s = +1 for
 (electron, up) and (positron, down), s = -1 otherwise.
 """
@@ -20,10 +22,8 @@ import numpy as np
 
 from .fitting import FIT_STEP, FitFailureError, SinusoidFit, fit_sinusoid
 from .packet import GaussianProfile, k_factors, packet_norm_constant
-from .units import LAMBDA_C, OMEGA_ZBW, DimensionlessParams, cyclotron_frequency, step_count
-
-PI = math.pi
-TWO_PI = 2.0 * PI
+from .units import (LAMBDA_C, OMEGA_ZBW, TWO_PI, DimensionlessParams, cyclotron_frequency,
+                    step_count)
 
 # The quadrature grid: Gauss-Legendre, 64 polar nodes on [0, pi] and 96
 # radial nodes on u = pi/pi0 in [0, 8]; the Gaussian weight is below 1e-27
@@ -52,30 +52,27 @@ class AmplitudeCoefficient:
     kind: str  # "planar" | "axial"
 
 
-@functools.lru_cache(maxsize=None)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+@functools.cache
+def _unit_mesh() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (u, theta, weight) meshes of the grid above at pi0 = 1, built on first use."""
+    xu, wu = np.polynomial.legendre.leggauss(N_U)
+    xt, wt = np.polynomial.legendre.leggauss(N_THETA)
+    u, theta = np.meshgrid(0.5 * U_MAX * (xu + 1.0), 0.5 * math.pi * (xt + 1.0), indexing="ij")
+    w = np.outer(0.5 * U_MAX * wu, 0.5 * math.pi * wt) * u**2 * np.sin(theta)
+    for mesh in (u, theta, w):
+        mesh.flags.writeable = False
+    return u, theta, w
 
 
 def momentum_grid(pi0: float):
     """(pi, theta, weight) meshes for d^3pi = pi^2 sin(theta) dpi dtheta dphi on the grid above.
 
     The weight includes pi^2 sin(theta) and the radial/polar Gauss-Legendre
-    weights, but not the 2*pi azimuthal factor.
+    weights, but not the 2*pi azimuthal factor.  pi = pi0 u scales the cached
+    unit mesh, so the weight scales as pi0^3; theta is the cached read-only mesh.
     """
-    xu, wu = _leggauss(N_U)
-    u = 0.5 * U_MAX * (xu + 1.0)
-    wu = 0.5 * U_MAX * wu * pi0  # dpi = pi0 du
-    xt, wt = _leggauss(N_THETA)
-    theta = 0.5 * PI * (xt + 1.0)
-    wt = 0.5 * PI * wt
-    pi_m, th_m = np.meshgrid(pi0 * u, theta, indexing="ij")
-    w_m = np.outer(wu, wt) * pi_m**2 * np.sin(th_m)
-    return pi_m, th_m, w_m
+    u, theta, w = _unit_mesh()
+    return pi0 * u, theta, pi0**3 * w
 
 
 def amplitude_coefficients(
@@ -84,7 +81,7 @@ def amplitude_coefficients(
     """Closed-form planar weight I and axial weight J (identically zero)."""
     ratio = cyclotron_frequency(params) / OMEGA_ZBW
     sign = params.spin_sign  # planar weight carries (1 -/+ omega_c/omega_zbw)
-    value = -((8.0 * PI) ** -0.5) * (LAMBDA_C / params.r0_over_lambda) * (1.0 - sign * ratio)
+    value = -((8.0 * math.pi) ** -0.5) * (LAMBDA_C / params.r0_over_lambda) * (1.0 - sign * ratio)
     return (
         AmplitudeCoefficient(value=value, spin=params.spin, kind="planar"),
         AmplitudeCoefficient(value=0.0, spin=params.spin, kind="axial"),
@@ -100,7 +97,7 @@ def amplitude_coefficients_quadrature(params: DimensionlessParams) -> tuple[floa
     sign = params.spin_sign
     # the integrands carry pi^3 sin^2(theta) and pi^3 sin(2 theta); w_m holds pi^2 sin(theta)
     i_val = -2.0 * (1.0 - sign * ratio) * float(np.sum(w_m * f2 / 2.0 * pi_m * np.sin(th_m)))
-    j_val = -PI * float(np.sum(w_m * f2 * pi_m * np.cos(th_m)))
+    j_val = -math.pi * float(np.sum(w_m * f2 * pi_m * np.cos(th_m)))
     return i_val, j_val
 
 
@@ -120,7 +117,7 @@ def position_expectation(params: DimensionlessParams, t: float | np.ndarray) -> 
     """
     ts = np.asarray(t, dtype=float)
     phase0 = params.spin_sign * params.phi0  # spin-down enters with -phi
-    phase = np.array([phase0, phase0 - PI / 2.0])
+    phase = np.array([phase0, phase0 - math.pi / 2.0])
     out = np.zeros(ts.shape + (3,))
     out[..., :2] += LAMBDA_C / 2.0 * np.sin(shifted_frequency(params) * ts[..., None] + phase)
     return out
@@ -205,29 +202,6 @@ def _alpha_pair(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return np.stack([np.einsum("...a,...a->...", c1 @ alpha, c2) for alpha in _ALPHA], axis=-1)
 
 
-def _azimuth_contraction(c0: np.ndarray, c1: np.ndarray, w: np.ndarray, n_phi: int) -> np.ndarray:
-    """Sum over nodes and n_phi azimuths of w (2*pi/n_phi) c^dag alpha c, c = c0 + c1 e^{i phi}.
-
-    c0 and c1 are (..., 4) spinors and w broadcasts to their node shape.
-    Expanding the bilinear leaves only e^{0} and e^{i phi} terms, so the sum
-    is S0 alpha:D + 2 Re(S1 alpha:X), with S_k = (2*pi/n_phi) sum_phi e^{i k phi}
-    on the same azimuth nodes, alpha:M = sum_ab alpha_ab M_ab, and the 4x4
-    moment matrices D_ab = sum w (conj(c0_a) c0_b + conj(c1_a) c1_b) and
-    X_ab = sum w conj(c0_a) c1_b, three matmuls over the flattened nodes in
-    all.  Returns (3,).
-    """
-    a, b = c0.reshape(-1, 4), c1.reshape(-1, 4)
-    wn = np.broadcast_to(w, c0.shape[:-1]).reshape(-1, 1)
-    ah, wb = a.conj().T, wn * b
-    diag = ah @ (wn * a) + b.conj().T @ wb
-    cross = ah @ wb
-    phis = TWO_PI * np.arange(n_phi) / n_phi
-    s0 = (TWO_PI / n_phi) * n_phi
-    s1 = (TWO_PI / n_phi) * np.sum(np.exp(1j * phis))
-    alpha = _ALPHA.reshape(3, 16)
-    return s0 * (alpha @ diag.reshape(16)).real + 2.0 * np.real(s1 * (alpha @ cross.reshape(16)))
-
-
 def _drift_spinors(params: DimensionlessParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unnormalized spinors c0 + c1 e^{i phi} of pos_up, neg_up, neg_down on the (pi, theta) grid.
 
@@ -254,18 +228,20 @@ def _drift_spinors(params: DimensionlessParams) -> tuple[np.ndarray, np.ndarray,
     return c0, c1, w_m
 
 
-def drift_velocity(params: DimensionlessParams, n_phi: int = 64) -> np.ndarray:
-    """Linear drift term of <r-dot> over n_phi azimuth nodes; vanishes for the localized state.
+def drift_velocity(params: DimensionlessParams) -> np.ndarray:
+    """Linear drift term of <r-dot> over the whole azimuth; vanishes for the localized state.
 
-    Each spinor is c0 + c1 e^{i phi} (:func:`_drift_spinors`), so the
-    azimuth sum is closed, and the (pi, theta) sum over the three spinors
-    contracts two 4x4 moment matrices with alpha (:func:`_azimuth_contraction`).
-    Raises ValueError unless n_phi is an integer >= 1.
+    Each spinor is c = c0 + c1 e^{i phi} with c0 and c1 real (:func:`_drift_spinors`).
+    The cross terms of c^dag alpha c carry e^{+-i phi} and integrate to zero
+    over the azimuth, so the drift is 2 pi Re(alpha : M), alpha:M =
+    sum_ab alpha_ab M_ab, with M = sum w (c0 c0^T + c1 c1^T) one real 4x4
+    moment matrix over the three spinors and the (pi, theta) grid.  Returns (3,).
     """
-    if not isinstance(n_phi, (int, np.integer)) or n_phi < 1:
-        raise ValueError(f"n_phi must be an integer >= 1, got {n_phi!r}")
     c0, c1, w_m = _drift_spinors(params)
-    return _azimuth_contraction(c0, c1, w_m, n_phi)
+    w = np.broadcast_to(w_m, c0.shape[:-1]).reshape(-1, 1)
+    a, b = c0.reshape(-1, 4), c1.reshape(-1, 4)
+    moment = a.T @ (w * a) + b.T @ (w * b)
+    return TWO_PI * (_ALPHA.real.reshape(3, 16) @ moment.reshape(16))
 
 
 def packet_normalization(params: DimensionlessParams) -> float:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-TWO_PI = 2.0 * math.pi
+from .units import TWO_PI
+
 RESIDUAL_TOL = 0.01  # largest RMS residual accepted, as a fraction of the largest
                      # amplitude and of the RMS of the centred data
 PENCIL_WINDOW = 12   # Hankel window of pencil_frequencies, samples past the first

@@ -16,8 +16,6 @@ import numpy as np
 
 from .units import DimensionlessParams
 
-PI = math.pi
-
 
 class DegenerateDenominatorError(ValueError):
     """The packet-coefficient denominator vanished at a momentum node."""
@@ -56,7 +54,7 @@ class GaussianProfile:
         return cls(pi0=2.0 / r0_over_lambda)
 
     def value(self, pi: float | np.ndarray) -> float | np.ndarray:
-        return (2.0 / (PI * self.pi0**2)) ** 0.75 * np.exp(-((np.asarray(pi) / self.pi0) ** 2))
+        return (2.0 / (math.pi * self.pi0**2)) ** 0.75 * np.exp(-((np.asarray(pi) / self.pi0) ** 2))
 
 
 @dataclass(frozen=True)
@@ -146,10 +144,10 @@ class LandauLevel:
 
 def landau_energy(level: LandauLevel) -> float:
     """Positive branch of E^2 = m^2 + p_z^2 + ceB (n - l + 1 - 2 s_z)."""
-    e_sq = 1.0 + level.p_z**2 + level.ceb * (level.n - level.l + 1.0 - 2.0 * level.s_z)
+    e_sq = 1.0 + level.p_z * level.p_z + level.ceb * (level.n - level.l + 1.0 - 2.0 * level.s_z)
     if e_sq < 0.0:
         raise ImaginaryEnergyError(f"E^2 = {e_sq:g} < 0")
-    if e_sq == math.inf:
+    if not math.isfinite(e_sq):  # inf, or NaN from inf - inf
         raise OverflowError("E^2 overflows")
     return math.sqrt(e_sq)
 

@@ -202,13 +202,14 @@ def discrepancy_report(
                 "relative_disagreement": rel,
             }
         )
+    classical_cp = cp_check(classical)
     out = {
         "epsilon": params.epsilon,
         "cells": rows,
         "cp": {
             "quantum": cp_check(quantum).verdict,
-            "classical_accurate": cp_check(classical).verdict,
-            "asymmetry_ratio": cp_check(classical).asymmetry_ratio,
+            "classical_accurate": classical_cp.verdict,
+            "asymmetry_ratio": classical_cp.asymmetry_ratio,
         },
     }
     if include_trajectories:

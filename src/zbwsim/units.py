@@ -34,7 +34,7 @@ R0_MAX = 1e12            # the quadratures match their closed forms to 1e-14 up 
 SPINS = ("up", "down")
 CHARGES = ("electron", "positron")
 
-TWO_PI = 6.283185307179586
+TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)

@@ -211,11 +211,15 @@ def _one_error_line(err: str) -> dict:
     ["classical", "--epsilon", "-1e-3", "--tau-max", "1e308", "--dt", "0.01"],
     ["quantum", "--epsilon", "-1e-3", "--t-max", "1e308"],
     ["classical", "--epsilon", "-1e-3", "--tau-max", "3e16", "--dt", "0.01"],
+    ["landau", "--n", "1", "--l", "1", "--ceb", "1e308", "--pz", "1e200"],
+    ["landau", "--n", "3", "--l", "-3", "--ceb", "-1e308", "--pz", "1e200"],  # inf - inf
 ])
 def test_invalid_step_exit_code(tmp_path, capsys, argv):
     rc = main([*argv, "--out", str(tmp_path / "x.csv")])
     err = _one_error_line(capsys.readouterr().err)
-    if {"1e308", "3e16"} & set(argv):  # finite spans with more steps than an array can hold
+    if "1e200" in argv:  # finite landau inputs whose E^2 overflows
+        assert (rc, err) == (3, {"error": "numerical", "detail": "E^2 overflows"})
+    elif {"1e308", "3e16"} & set(argv):  # finite spans with more steps than an array can hold
         assert (rc, err["error"]) == (3, "numerical")
         span = "tau_max" if argv[0] == "classical" else "t_max"
         assert err["detail"].startswith(f"{span} / dt = ")

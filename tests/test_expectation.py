@@ -14,9 +14,7 @@ import zbwsim
 from zbwsim import expectation
 from zbwsim.expectation import (
     _alpha_pair,
-    _azimuth_contraction,
     _drift_spinors,
-    _leggauss,
     amplitude_coefficients,
     amplitude_coefficients_quadrature,
     drift_velocity,
@@ -529,42 +527,8 @@ def test_alpha_pair_matches_alpha_matrices():
             assert pair[n, i] == pytest.approx(np.vdot(c1[n], ALPHA[i] @ c2[n]), abs=1e-13)
 
 
-@pytest.mark.parametrize("n_phi", [1, 3, 64])
-def test_azimuth_sum_matches_node_sum(n_phi):
-    """The moment-matrix contraction equals the sum over the azimuth nodes it replaces.
-
-    On random complex spinors, node by node and weighted over all nodes.
-    n_phi = 1 keeps the e^{i phi} cross term whole, so the factoring itself is
-    checked, not only its cancellation.
-    """
-    rng = np.random.default_rng(6)
-    c0, c1 = _random_spinors(rng, (7,)), _random_spinors(rng, (7,))
-    w = rng.uniform(0.5, 1.5, size=7)
-    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    c = c0[:, None, :] + c1[:, None, :] * np.exp(1j * phis)[:, None]
-    dens = np.einsum("npi,kij,npj->nk", c.conj(), np.array(ALPHA), c).real
-    brute = (2.0 * math.pi / n_phi) * dens
-    nodes = [_azimuth_contraction(c0[n], c1[n], 1.0, n_phi) for n in range(7)]
-    np.testing.assert_allclose(nodes, brute, rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(_azimuth_contraction(c0, c1, w, n_phi), w @ brute,
-                               rtol=1e-12, atol=0.0)
-
-
-@pytest.mark.parametrize("n_phi", [0, -3, 2.5])
-def test_drift_velocity_rejects_a_bad_azimuth_count(n_phi):
-    """n_phi must be an integer >= 1: 0 raised ZeroDivisionError, -3 and 2.5 returned a drift."""
-    p = DimensionlessParams(epsilon=-1e-3)
-    with pytest.raises(ValueError, match=f"got {n_phi!r}"):
-        drift_velocity(p, n_phi=n_phi)
-
-
-def test_drift_velocity_takes_a_numpy_integer_azimuth_count():
-    p = DimensionlessParams(epsilon=-1e-3)
-    assert np.array_equal(drift_velocity(p, n_phi=np.int64(3)), drift_velocity(p, n_phi=3))
-
-
-def _drift_reference(params, n_phi=64):
-    """The drift as a full (label, pi, theta, phi, spinor) array summed over phi."""
+def _drift_reference(params, n_phi):
+    """The drift as a full (label, pi, theta, phi, spinor) array summed over n_phi azimuth nodes."""
     g = GaussianProfile.for_packet_width(params.r0_over_lambda)
     k = k_factors(params)
     pi_m, th_m, w_m = momentum_grid(g.pi0)
@@ -590,8 +554,36 @@ def _drift_reference(params, n_phi=64):
 @pytest.mark.parametrize("spin", ["up", "down"])
 @pytest.mark.parametrize("charge", ["electron", "positron"])
 def test_drift_velocity_matches_azimuth_grid(r0, spin, charge):
+    """The exact azimuth integral equals the node sums at n_phi = 2, 3 and 64.
+
+    The bilinear holds only e^{0} and e^{+-i phi} terms, so any n_phi >= 2
+    integrates it exactly; on each node the e^{i phi} cross term is large,
+    so the node sums check that it cancels, not only the moment matrix.
+    """
     p = DimensionlessParams(epsilon=-1e-3, spin=spin, charge=charge, r0_over_lambda=r0)
-    assert np.max(np.abs(drift_velocity(p) - _drift_reference(p))) <= 1e-15
+    drift = drift_velocity(p)
+    for n_phi in (2, 3, 64):
+        assert np.max(np.abs(drift - _drift_reference(p, n_phi))) <= 1e-15, n_phi
+
+
+def test_drift_velocity_integrates_any_spinors_exactly(monkeypatch):
+    """On random real c0, c1 and weights, the drift equals the azimuth node sums.
+
+    The packet's drift vanishes by symmetry, so only spinors whose drift does
+    not vanish check the moment matrix and the dropped cross terms.
+    """
+    rng = np.random.default_rng(6)
+    c0, c1 = rng.normal(size=(2, 3, 5, 4, 4))
+    w = rng.uniform(0.5, 1.5, size=(5, 4))
+    monkeypatch.setattr(expectation, "_drift_spinors", lambda params: (c0, c1, w))
+    drift = drift_velocity(DimensionlessParams(epsilon=-1e-3))
+    assert np.abs(drift).max() > 1.0
+    for n_phi in (2, 3, 64):
+        phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
+        c = c0[..., None, :] + c1[..., None, :] * np.exp(1j * phis)[:, None]
+        dens = np.einsum("lutpi,kij,lutpj->utk", c.conj(), np.array(ALPHA), c).real
+        brute = (2.0 * math.pi / n_phi) * np.einsum("ut,utk->k", w, dens)
+        np.testing.assert_allclose(drift, brute, rtol=0.0, atol=1e-12 * np.abs(brute).max())
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -617,26 +609,46 @@ def test_quadrature_contract(log_r0, epsilon, spin, charge, phi0):
 
 
 def test_leggauss_cache_is_shared_and_read_only():
-    x, w = _leggauss(expectation.N_U)
-    assert _leggauss(expectation.N_U)[0] is x and _leggauss(expectation.N_U)[1] is w
-    for arr in (x, w):
+    """The Gauss-Legendre mesh at pi0 = 1 is built once; every grid shares its read-only theta."""
+    mesh = expectation._unit_mesh()
+    assert all(a is b for a, b in zip(expectation._unit_mesh(), mesh))
+    assert momentum_grid(0.01)[1] is mesh[1]
+    for arr in mesh:
         with pytest.raises(ValueError):
-            arr[0] = 0.0
+            arr[0, 0] = 0.0
+
+
+def _grid_per_call(pi0):
+    """The (pi, theta, weight) meshes built directly at pi0 from fresh Gauss-Legendre nodes."""
+    xu, wu = np.polynomial.legendre.leggauss(expectation.N_U)
+    xt, wt = np.polynomial.legendre.leggauss(expectation.N_THETA)
+    pi_m, th_m = np.meshgrid(0.5 * expectation.U_MAX * (xu + 1.0) * pi0,
+                             0.5 * math.pi * (xt + 1.0), indexing="ij")
+    w_m = np.outer(0.5 * expectation.U_MAX * wu * pi0, 0.5 * math.pi * wt)
+    return pi_m, th_m, w_m * pi_m**2 * np.sin(th_m)
 
 
 def test_leggauss_cache_changes_no_quadrature(monkeypatch):
+    """The scaled unit mesh is the grid built at pi0 to rounding, and caching moves no quadrature."""
+    for pi0 in (0.1, 1e-2, 1e-12):
+        for cached, direct in zip(momentum_grid(pi0), _grid_per_call(pi0)):
+            np.testing.assert_allclose(cached, direct, rtol=1e-15, atol=0.0)
     params = [DimensionlessParams(epsilon=eps, spin=spin, r0_over_lambda=r0)
               for eps, spin, r0 in ((-1e-3, "up", 100.0), (-1e-2, "down", 10.0))]
-    cached = [(amplitude_coefficients_quadrature(p), packet_normalization(p)) for p in params]
-    monkeypatch.setattr(expectation, "_leggauss", np.polynomial.legendre.leggauss)
-    fresh = [(amplitude_coefficients_quadrature(p), packet_normalization(p)) for p in params]
-    assert cached == fresh
+
+    def quadratures():
+        return [(amplitude_coefficients_quadrature(p), packet_normalization(p),
+                 drift_velocity(p).tolist()) for p in params]
+
+    cached = quadratures()
+    monkeypatch.setattr(expectation, "_unit_mesh", expectation._unit_mesh.__wrapped__)
+    assert quadratures() == cached
 
 
 def test_leggauss_cache_fills_on_first_use():
     env = dict(os.environ, PYTHONPATH=str(Path(zbwsim.__file__).parents[1]))
     code = ("import zbwsim.cli, zbwsim.expectation as e; "
-            "print(e._leggauss.cache_info().currsize)")
+            "print(e._unit_mesh.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.strip() == "0"
