@@ -5,7 +5,7 @@ Subcommands
     classical  spinning-particle integration -> CSV (tau,x,y,z,vx,vy,vz,S12) or SVG
     roots      characteristic-cubic roots -> JSON
     landau     relativistic Landau energy -> JSON
-    compare    quantum-vs-classical shift report -> JSON or SVG bar chart
+    compare    quantum-vs-classical shift report -> JSON (--fit: with fitted tables) or SVG
     sweep      shift tables over an epsilon list -> CSV (--jobs N: on N processes)
 
 Exit codes: 0 success, 2 configuration or file error, 3 numerical failure or
@@ -26,7 +26,7 @@ from . import bz, svgplot
 from .expectation import extract_frequency, quantum_trajectory
 from .fitting import FitFailureError
 from .packet import LandauLevel, landau_energy
-from .symmetry import cp_check, discrepancy_report, shift_table
+from .symmetry import APPROACHES, cp_check, discrepancy_report, shift_table
 from .units import DimensionlessParams, epsilon_from_tesla
 
 EXIT_CONFIG = 2
@@ -72,6 +72,15 @@ def _params_from(args: argparse.Namespace, **extra) -> DimensionlessParams:
 def _write(path: str, text: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(text)
+
+
+def _write_json(path: str | None, payload: dict) -> None:
+    """payload as indented JSON with sorted keys and a final newline, to path or else stdout."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        _write(path, text)
 
 
 def _float_blocks(*columns: np.ndarray):
@@ -130,47 +139,38 @@ def _cmd_roots(args: argparse.Namespace) -> int:
         roots = bz.solve_cubic_exact(cubic)
     else:
         roots = bz.perturbative_roots(params, args.method)
-    payload = {
+    _write_json(args.out, {
         "epsilon": params.epsilon,
         "spin": params.spin,
         "method": roots.method,
         "coefficients": {"c1": cubic.c1, "c0": cubic.c0},
         "roots": {"omega1": roots.omega1, "omega2": roots.omega2, "omega3": roots.omega3},
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    })
     return 0
 
 
 def _cmd_landau(args: argparse.Namespace) -> int:
     level = LandauLevel(n=args.n, l=args.l, p_z=args.pz, s_z=args.sz, ceb=args.ceb)
-    payload = {"n": args.n, "l": args.l, "p_z": args.pz, "s_z": args.sz,
-               "ceb": args.ceb, "energy": landau_energy(level)}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_json(args.out, {"n": args.n, "l": args.l, "p_z": args.pz, "s_z": args.sz,
+                           "ceb": args.ceb, "energy": landau_energy(level)})
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    svg = args.out.endswith(".svg")
+    if svg and args.fit:
+        raise ValueError("--fit adds the fitted tables to the JSON report; an .svg --out has none")
     params = _params_from(args)
-    if args.out.endswith(".svg"):
-        quantum = shift_table("quantum", params)
-        classical = shift_table("classical_accurate", params)
-        labels = [f"{c.charge[0]}-{c.spin}" for c in quantum.cells]
-        _write(args.out, svgplot.shift_bars_svg(
-            labels,
-            [c.delta_omega for c in quantum.cells],
-            [c.delta_omega for c in classical.cells],
-            f"frequency shifts, epsilon={params.epsilon:g}"))
-        return 0
     report = discrepancy_report(params, include_trajectories=args.fit)
-    _write(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    if not svg:
+        _write_json(args.out, report)
+        return 0
+    cells = report["cells"]
+    _write(args.out, svgplot.shift_bars_svg(
+        [f"{c['charge'][0]}-{c['spin']}" for c in cells],
+        [c["quantum_shift"] for c in cells],
+        [c["classical_shift"] for c in cells],
+        f"frequency shifts, epsilon={params.epsilon:g}"))
     return 0
 
 
@@ -186,8 +186,7 @@ def _sweep_cell(job: tuple[float, str]) -> list[tuple]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    work = [(eps, ap) for eps in args.epsilons
-            for ap in ("quantum", "classical_accurate", "classical_rough")]
+    work = [(eps, ap) for eps in args.epsilons for ap in APPROACHES]
     if args.jobs > 1:
         # the pool starts all its workers up front, so start no more than there is work
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(work))) as pool:
@@ -251,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp = sub.add_parser("compare", help="quantum-vs-classical shift report")
     _add_params(cp, spin_charge=False)
     cp.add_argument("--fit", action="store_true",
-                    help="also rerun both pipelines end to end (slow)")
+                    help="also rerun both pipelines end to end (slow; JSON --out only)")
     cp.add_argument("--out", required=True)
     cp.set_defaults(func=_cmd_compare)
 

@@ -150,10 +150,14 @@ def extract_frequency(traj: Trajectory) -> SinusoidFit:
 
 
 def magnetic_moment_expectation(params: DimensionlessParams, t: float | np.ndarray) -> np.ndarray:
-    """<mu>(t) in units of |e| lambda_c; only the z component survives."""
+    """<mu>(t) in units of |e| lambda_c; only the z component survives.
+
+    mu_z trembles at the packet's own planar frequency, :func:`shifted_frequency`,
+    for either charge.  Its sign, -spin_sign for every cell, is the electron's;
+    for positrons the sign is unverified.
+    """
     ts = np.asarray(t, dtype=float)
-    omega = OMEGA_ZBW + params.spin_sign * cyclotron_frequency(params)
-    mu_z = -params.spin_sign * 0.5 * (1.0 - np.cos(omega * ts))
+    mu_z = -params.spin_sign * 0.5 * (1.0 - np.cos(shifted_frequency(params) * ts))
     out = np.zeros(ts.shape + (3,))
     out[..., 2] = mu_z
     return out
@@ -236,6 +240,13 @@ def drift_velocity(params: DimensionlessParams) -> np.ndarray:
     over the azimuth, so the drift is 2 pi Re(alpha : M), alpha:M =
     sum_ab alpha_ab M_ab, with M = sum w (c0 c0^T + c1 c1^T) one real 4x4
     moment matrix over the three spinors and the (pi, theta) grid.  Returns (3,).
+
+    For the packet, c0 fills components 0 and 2 and c1 only component 3, so
+    c1 reaches only M_33, on alpha's zero diagonal blocks, and the drift is
+    (0, 0, 4 pi sum w f K pi cos(theta) f): x and y are exactly 0.0, and z is
+    the cos(theta) moment that J also integrates, which cancels over the
+    grid's theta nodes, symmetric about pi/2.  The packet's drift therefore
+    checks neither c1 nor the planar entries of alpha.
     """
     c0, c1, w_m = _drift_spinors(params)
     w = np.broadcast_to(w_m, c0.shape[:-1]).reshape(-1, 1)

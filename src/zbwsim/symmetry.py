@@ -1,14 +1,18 @@
 """Frequency-shift tables, CP-antisymmetry verdicts, and the cross-approach report.
 
 A shift is always Delta_omega = omega_measured - omega_reference with the
-reference +omega_zbw for particles and -omega_zbw for antiparticles.  The
-quantum table comes from the wave-packet expectation values; the classical
-tables come from the characteristic-cubic roots, with the antiparticle rows
-read off the negative fast root of the same-spin run (the model has no
-separate antiparticle simulation protocol).  The fitted classical table
-reads the same modes off integrated trajectories.  CP antisymmetry is
-operationalized as sign flip of the shift under spin flip and under
-particle/antiparticle exchange.
+reference +omega_zbw for particles and -omega_zbw for antiparticles.  Every
+table is four (charge, spin) cells, and each approach states one cell rule:
+- quantum: the wave-packet expectation values' shift s * omega_c, with
+  s = +1 for (electron, up) and (positron, down), s = -1 otherwise;
+- classical: the signed fast modes of the same-spin run, the positive one
+  against +omega_zbw for the particle cell and the negative one against
+  -omega_zbw for the antiparticle cell (the model has no separate
+  antiparticle simulation protocol).  The modes are the characteristic-cubic
+  roots (exact or rough), or, in the fitted table, fits to integrated
+  trajectories.
+CP antisymmetry is operationalized as sign flip of the shift under spin flip
+and under particle/antiparticle exchange.
 """
 from __future__ import annotations
 
@@ -19,7 +23,6 @@ from .bz import characteristic_cubic, perturbative_roots, solve_cubic_exact, spe
 from .expectation import extract_frequency, quantum_trajectory
 from .units import OMEGA_ZBW, CHARGES, SPINS, DimensionlessParams, cyclotron_frequency
 
-APPROACHES = ("quantum", "classical_accurate", "classical_rough")
 ZERO_SHIFT = 4.0 * math.ulp(OMEGA_ZBW)  # largest |shift| that is rounding of omega - omega_zbw
 
 CELL_ORDER = (
@@ -58,19 +61,34 @@ class CPReport:
     verdict: str            # "cp_respected" | "cp_violated"
 
 
-def _classical_shift(params: DimensionlessParams, scheme: str) -> float:
-    """Shift for one table cell from the cubic roots of the same-spin run.
+def _table(approach: str, params: DimensionlessParams, shift) -> ShiftTable:
+    """The four-cell table whose (charge, spin) cell is shift(params at that charge and spin)."""
+    cells = tuple(ShiftCell(ch, sp, shift(replace(params, charge=ch, spin=sp)))
+                  for ch, sp in CELL_ORDER)
+    return ShiftTable(approach=approach, epsilon=params.epsilon, cells=cells)
 
-    Particle rows use the positive fast root against +omega_zbw; antiparticle
-    rows use the negative fast root against -omega_zbw.
+
+def _fast_mode_shift(p: DimensionlessParams, positive: float, negative: float) -> float:
+    """A classical cell from the signed fast modes of its same-spin run.
+
+    Particle cells read the positive fast mode against +omega_zbw;
+    antiparticle cells read the negative fast mode against -omega_zbw.
     """
-    if scheme == "exact":
-        roots = solve_cubic_exact(characteristic_cubic(params))
-    else:
-        roots = perturbative_roots(params, scheme)
-    if params.charge == "electron":
-        return roots.omega2 - OMEGA_ZBW
-    return roots.omega3 - (-OMEGA_ZBW)
+    return positive - OMEGA_ZBW if p.charge == "electron" else negative + OMEGA_ZBW
+
+
+def _cubic_shift(p: DimensionlessParams, roots) -> float:
+    return _fast_mode_shift(p, roots.omega2, roots.omega3)
+
+
+# approach -> cell shift; quantum is shifted_frequency(p) - OMEGA_ZBW, exactly,
+# and its + 0.0 turns -0.0 at epsilon = 0 into 0.0
+_CELL_SHIFTS = {
+    "quantum": lambda p: p.spin_sign * p.charge_sign * cyclotron_frequency(p) + 0.0,
+    "classical_accurate": lambda p: _cubic_shift(p, solve_cubic_exact(characteristic_cubic(p))),
+    "classical_rough": lambda p: _cubic_shift(p, perturbative_roots(p, "rough")),
+}
+APPROACHES = tuple(_CELL_SHIFTS)
 
 
 def shift_table(approach: str, params: DimensionlessParams) -> ShiftTable:
@@ -79,20 +97,9 @@ def shift_table(approach: str, params: DimensionlessParams) -> ShiftTable:
     classical_accurate uses the exact cubic roots rather than the quadratic
     expansion, so its cells are exact up to floating point.
     """
-    if approach not in APPROACHES:
+    if approach not in _CELL_SHIFTS:
         raise ValueError(f"approach must be one of {APPROACHES}, got {approach!r}")
-    cells = []
-    for charge, spin in CELL_ORDER:
-        p = replace(params, charge=charge, spin=spin)
-        if approach == "quantum":
-            # shifted_frequency(p) - OMEGA_ZBW, exactly; + 0.0 turns -0.0 at epsilon = 0 into 0.0
-            delta = p.spin_sign * p.charge_sign * cyclotron_frequency(p) + 0.0
-        elif approach == "classical_accurate":
-            delta = _classical_shift(p, "exact")
-        else:
-            delta = _classical_shift(p, "rough")
-        cells.append(ShiftCell(charge=charge, spin=spin, delta_omega=delta))
-    return ShiftTable(approach=approach, epsilon=params.epsilon, cells=tuple(cells))
+    return _table(approach, params, _CELL_SHIFTS[approach])
 
 
 def cp_check(table: ShiftTable, rel_tol: float = 1e-9) -> CPReport:
@@ -124,15 +131,8 @@ def cp_check(table: ShiftTable, rel_tol: float = 1e-9) -> CPReport:
 
 def fitted_quantum_table(params: DimensionlessParams) -> ShiftTable:
     """Quantum shift table recovered from fitted simulated trajectories."""
-    cells = []
-    for charge, spin in CELL_ORDER:
-        p = replace(params, charge=charge, spin=spin)
-        traj = quantum_trajectory(p)
-        cells.append(
-            ShiftCell(charge=charge, spin=spin,
-                      delta_omega=extract_frequency(traj).omega - OMEGA_ZBW)
-        )
-    return ShiftTable(approach="quantum", epsilon=params.epsilon, cells=tuple(cells))
+    return _table("quantum", params,
+                  lambda p: extract_frequency(quantum_trajectory(p)).omega - OMEGA_ZBW)
 
 
 def fitted_classical_table(
@@ -141,21 +141,15 @@ def fitted_classical_table(
     """Classical shift table from spectral fits of integrated trajectories.
 
     One batched integration of the two field runs (spin up, spin down) on
-    the dt grid is needed: each run supplies the particle cell from its
-    positive fast mode and the antiparticle cell from its negative one.  The
-    fits (:func:`spectral_frequencies`) take their seeds from the trajectory
+    the dt grid is needed: each run's fitted fast pair, signed (+, -), gives
+    its particle and antiparticle cells by the cubic tables' rule.  The fits
+    (:func:`spectral_frequencies`) take their seeds from the trajectory
     alone, never from the cubic whose roots the table is checked against,
     and fit all three modes at every epsilon.
     """
-    fitted: dict[tuple[str, str], float] = {}
-    for spin, fit in zip(SPINS, spectral_frequencies(params, tau_max=tau_max, dt=dt)):
-        w2, w3 = fit.freqs[-2:]
-        fitted[("electron", spin)] = w2 - OMEGA_ZBW
-        fitted[("positron", spin)] = OMEGA_ZBW - w3
-    cells = tuple(
-        ShiftCell(charge=ch, spin=sp, delta_omega=fitted[(ch, sp)]) for ch, sp in CELL_ORDER
-    )
-    return ShiftTable(approach="classical_accurate", epsilon=params.epsilon, cells=cells)
+    fits = dict(zip(SPINS, spectral_frequencies(params, tau_max=tau_max, dt=dt)))
+    return _table("classical_accurate", params, lambda p: _fast_mode_shift(
+        p, fits[p.spin].freqs[-2], -fits[p.spin].freqs[-1]))
 
 
 def table_as_dict(table: ShiftTable, report: CPReport) -> dict:

@@ -187,6 +187,15 @@ def test_svg_outputs(tmp_path):
     assert "<rect" in _read(bars)
 
 
+def test_compare_fit_needs_a_json_out(tmp_path, capsys, monkeypatch):
+    """--fit with an .svg --out is refused before any table is computed."""
+    monkeypatch.setattr(cli, "discrepancy_report", None)
+    out = tmp_path / "x.svg"
+    rc = main(["compare", "--epsilon", "-1e-3", "--fit", "--out", str(out)])
+    assert (rc, _one_error_line(capsys.readouterr().err)["error"]) == (2, "config")
+    assert not out.exists()
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     rc = main(["quantum", "--epsilon", "-0.5", "--out", str(tmp_path / "x.csv")])
     assert rc == 2

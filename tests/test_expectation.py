@@ -442,6 +442,16 @@ def test_magnetic_moment_down_frequency():
     assert np.all(mu >= -1e-15)  # spin-down moment stays nonnegative
 
 
+@pytest.mark.parametrize("spin", ["up", "down"])
+@pytest.mark.parametrize("charge", ["electron", "positron"])
+def test_magnetic_moment_trembles_with_the_packet(spin, charge):
+    """mu_z's fitted frequency is the packet's shifted frequency in every cell."""
+    p = DimensionlessParams(epsilon=-1e-3, spin=spin, charge=charge)
+    t = np.arange(0, 300, 0.02)
+    fit = fit_sinusoid(t, magnetic_moment_expectation(p, t)[:, 2])
+    assert fit.omega == pytest.approx(shifted_frequency(p), rel=1e-6)
+
+
 # ------------------------------------------------------- spin interpretation
 
 def test_spin_interpretation_free_limit():
@@ -564,6 +574,18 @@ def test_drift_velocity_matches_azimuth_grid(r0, spin, charge):
     drift = drift_velocity(p)
     for n_phi in (2, 3, 64):
         assert np.max(np.abs(drift - _drift_reference(p, n_phi))) <= 1e-15, n_phi
+
+
+def test_packet_drift_has_no_planar_terms():
+    """The packet's drift is exactly 0.0 along x and y.
+
+    Its moment matrix pairs only spinor components (0, 2) and (3, 3), where
+    Re(alpha_x) and Re(alpha_y) are zero, so no rounding enters x or y.
+    """
+    for eps, r0, spin, charge in itertools.product(
+            (0.0, -1e-3, -0.099), (10.0, 100.0, 1e6), ("up", "down"), ("electron", "positron")):
+        p = DimensionlessParams(epsilon=eps, spin=spin, charge=charge, r0_over_lambda=r0)
+        assert drift_velocity(p)[:2].tolist() == [0.0, 0.0], p
 
 
 def test_drift_velocity_integrates_any_spinors_exactly(monkeypatch):

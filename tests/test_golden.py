@@ -29,6 +29,8 @@ _QUANTUM = ["quantum", "--epsilon", "-3e-3", "--spin", "down", "--charge", "posi
 # file name -> (argv, whether the answer is stdout rather than the --out file)
 CASES = {
     "compare_fit.json": (["compare", "--epsilon", "-1e-3", "--fit", "--out", OUT], False),
+    "compare.svg": (["compare", "--epsilon", "-1e-3", "--out", OUT], False),
+    "landau.json": (["landau", "--n", "1", "--l", "-1", "--sz", "-0.5", "--ceb", "0.01"], True),
     "roots_exact.json": (_ROOTS + ["exact"], True),
     "roots_rough.json": (_ROOTS + ["rough"], True),
     "roots_accurate.json": (_ROOTS + ["accurate"], True),
