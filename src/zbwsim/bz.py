@@ -11,14 +11,15 @@ about fitting.FIT_STEP apart (10 per trembling period), not the whole grid.
 A phase point is one flat vector of 28 floats: y[0:4] = x, y[4:8] = pi,
 y[8:12] = v and y[12:28] = S^{mu nu} in row-major order; a batch of runs is
 a (B, 28) array.  Integration appends a constant 1.0 to each phase point,
-so the whole right-hand side :func:`bz_rhs` is one quadratic form
-(z_I * z_J) Q in the 29 slots: the products S pi and pi v give v' and S',
-the products v * 1 give x' = v and pi' = e F v, and only the two e*B weights
-of Q depend on the field.  :func:`integrate` (any leading batch shape) expands
-the state in Taylor blocks to order TAYLOR_ORDER by a Cauchy-product
-recursion, takes each block's length from the series' last two coefficients,
-and yields every sample it covers on the caller's grid tau = dt * arange(n + 1)
-from one matmul.  The recursion's workspace (an order-major coefficient
+so the whole right-hand side is one quadratic form (z_I * z_J) Q in the 29
+slots, computed as the first coefficient of :func:`_recursion`'s series: the
+products S pi and pi v give v' and S', the products v * 1 give x' = v and
+pi' = e F v, and only the two e*B weights of Q depend on the field.
+:func:`integrate` (any leading batch shape) expands the state in Taylor
+blocks to order TAYLOR_ORDER by a Cauchy-product recursion, takes each
+block's length from the series' last two coefficients, and yields every
+sample it covers on the caller's grid tau = dt * arange(n + 1) from one
+matmul.  The recursion's workspace (an order-major coefficient
 buffer, the product sums and each order's operand views) is built once per
 run, so an order costs two numpy calls.  The number of blocks follows the
 dynamics, not dt, and DT_MAX bounds the sampling (at least 50 samples per
@@ -98,7 +99,7 @@ _IJ, _K, _Q0 = _products()
 
 
 def quadratic_form(eb: float) -> np.ndarray:
-    """Weights Q of :func:`bz_rhs` at e*B, one row per product and one column per slot.
+    """Weights Q of the right-hand side (z_I * z_J) Q at e*B, a row per product, a column per slot.
 
     e F^{mu nu} v_nu for the z-directed field gives pi'^1 = e (-B)(-v_y) and
     pi'^2 = e B (-v_x), the products v^2 * 1 and v^1 * 1 weighted by +-e*B.
@@ -107,17 +108,6 @@ def quadratic_form(eb: float) -> np.ndarray:
     q[_XV + 2, 5] = eb
     q[_XV + 1, 6] = -eb
     return q
-
-
-def bz_rhs(z: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Proper-time derivative of integrated states z of shape (..., 29).
-
-    z[..., :28] is the phase point and z[..., 28] the constant 1.0, whose
-    derivative comes out as zero; q is :func:`quadratic_form` at the run's
-    e*B.  The whole system is one gather, one product and one matmul.
-    """
-    g = z.take(_IJ, axis=-1)
-    return (g[..., :_K] * g[..., _K:]) @ q
 
 
 def make_initial_state(params: DimensionlessParams) -> np.ndarray:
@@ -269,9 +259,8 @@ def free_solution(
 
 @dataclass(frozen=True)
 class CubicCoefficients:
-    """omega^3 + c1*omega + c0 = 0 (no quadratic term by construction)."""
+    """omega^3 + c1*omega + c0 = 0 (monic, no quadratic term by construction)."""
 
-    c3: float
     c1: float
     c0: float
 
@@ -282,7 +271,7 @@ def characteristic_cubic(params: DimensionlessParams) -> CubicCoefficients:
     sgn = params.spin_sign
     c1 = -(OMEGA_ZBW**2) * (1.0 - sgn * 3.0 * eps)
     c0 = eps * OMEGA_ZBW**3
-    return CubicCoefficients(c3=1.0, c1=c1, c0=c0)
+    return CubicCoefficients(c1=c1, c0=c0)
 
 
 @dataclass(frozen=True)
@@ -290,7 +279,6 @@ class RootSet:
     omega1: float
     omega2: float
     omega3: float
-    method: str  # "exact" | "rough" | "accurate"
 
     def as_array(self) -> np.ndarray:
         return np.array([self.omega1, self.omega2, self.omega3])
@@ -318,7 +306,7 @@ def solve_cubic_exact(c: CubicCoefficients) -> RootSet:
     roots.sort(key=abs)
     w1, wa, wb = roots
     w2, w3 = (wa, wb) if wa > 0 else (wb, wa)
-    return RootSet(omega1=w1, omega2=w2, omega3=w3, method="exact")
+    return RootSet(omega1=w1, omega2=w2, omega3=w3)
 
 
 def perturbative_roots(params: DimensionlessParams, scheme: str) -> RootSet:
@@ -331,7 +319,6 @@ def perturbative_roots(params: DimensionlessParams, scheme: str) -> RootSet:
             omega1=omega_c * (1.0 + sgn * 3.0 * eps),
             omega2=OMEGA_ZBW * (1.0 - sgn * 1.5 * eps),
             omega3=-OMEGA_ZBW * (1.0 - sgn * 1.5 * eps),
-            method="rough",
         )
     if scheme == "accurate":
         exact = solve_cubic_exact(characteristic_cubic(params))
@@ -341,7 +328,7 @@ def perturbative_roots(params: DimensionlessParams, scheme: str) -> RootSet:
         else:
             w2 = OMEGA_ZBW * (1.0 + eps)
             w3 = -OMEGA_ZBW * (1.0 + 2.0 * eps)
-        return RootSet(omega1=exact.omega1, omega2=w2, omega3=w3, method="accurate")
+        return RootSet(omega1=exact.omega1, omega2=w2, omega3=w3)
     raise ValueError(f"scheme must be 'rough' or 'accurate', got {scheme!r}")
 
 

@@ -38,10 +38,10 @@ _FLOAT = "%.12g"  # every float in a CSV
 # argparse (< 3.12) would otherwise read as an unknown option
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+\.?\d*[eE][-+]?\d+$")
 
-_NUMERICAL_ERRORS = (FitFailureError, bz.IntegrationUnstableError, bz.ComplexRootsError,
-                     np.linalg.LinAlgError, OverflowError)
-# (exception types, "error" label, exit code); the first match wins, so a
-# ValueError subclass such as ImaginaryEnergyError is a configuration error
+_NUMERICAL_ERRORS = (FitFailureError, bz.IntegrationUnstableError, np.linalg.LinAlgError,
+                     OverflowError)
+# (exception types, "error" label, exit code); the first match wins, so a ValueError
+# subclass such as ImaginaryEnergyError or bz.ComplexRootsError is a configuration error
 _FAILURES = (
     (ValueError, "config", EXIT_CONFIG),
     (OSError, "io", EXIT_CONFIG),
@@ -142,7 +142,7 @@ def _cmd_roots(args: argparse.Namespace) -> int:
     _write_json(args.out, {
         "epsilon": params.epsilon,
         "spin": params.spin,
-        "method": roots.method,
+        "method": args.method,
         "coefficients": {"c1": cubic.c1, "c0": cubic.c0},
         "roots": {"omega1": roots.omega1, "omega2": roots.omega2, "omega3": roots.omega3},
     })

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import FIT_STEP, FitFailureError, SinusoidFit, fit_sinusoid
-from .packet import GaussianProfile, k_factors, packet_norm_constant
+from .fitting import FIT_STEP, SinusoidFit, fit_sinusoid
+from .packet import K, GaussianProfile, packet_norm_constant
 from .units import (LAMBDA_C, OMEGA_ZBW, TWO_PI, DimensionlessParams, cyclotron_frequency,
                     step_count)
 
@@ -42,14 +42,11 @@ _ALPHA.flags.writeable = False
 class Trajectory:
     times: np.ndarray
     positions: np.ndarray  # (N, 3)
-    params: DimensionlessParams
 
 
 @dataclass(frozen=True)
 class AmplitudeCoefficient:
     value: float
-    spin: str
-    kind: str  # "planar" | "axial"
 
 
 @functools.cache
@@ -82,10 +79,7 @@ def amplitude_coefficients(
     ratio = cyclotron_frequency(params) / OMEGA_ZBW
     sign = params.spin_sign  # planar weight carries (1 -/+ omega_c/omega_zbw)
     value = -((8.0 * math.pi) ** -0.5) * (LAMBDA_C / params.r0_over_lambda) * (1.0 - sign * ratio)
-    return (
-        AmplitudeCoefficient(value=value, spin=params.spin, kind="planar"),
-        AmplitudeCoefficient(value=0.0, spin=params.spin, kind="axial"),
-    )
+    return AmplitudeCoefficient(value=value), AmplitudeCoefficient(value=0.0)
 
 
 def amplitude_coefficients_quadrature(params: DimensionlessParams) -> tuple[float, float]:
@@ -131,7 +125,7 @@ def quantum_trajectory(params: DimensionlessParams, t_max: float | None = None,
     if t_max is None:
         t_max = 100.0 * TWO_PI / OMEGA_ZBW
     times = dt * np.arange(step_count(t_max, dt, "t_max") + 1)
-    return Trajectory(times=times, positions=position_expectation(params, times), params=params)
+    return Trajectory(times=times, positions=position_expectation(params, times))
 
 
 def extract_frequency(traj: Trajectory) -> SinusoidFit:
@@ -217,11 +211,10 @@ def _drift_spinors(params: DimensionlessParams) -> tuple[np.ndarray, np.ndarray,
     (3, nu, nt, 4) array, and the :func:`momentum_grid` weights.
     """
     g = GaussianProfile.for_packet_width(params.r0_over_lambda)
-    kk = k_factors(params).k
     pi_m, th_m, w_m = momentum_grid(g.pi0)
     f = g.value(pi_m)
-    kz = kk * pi_m * np.cos(th_m) * f
-    kp = kk * pi_m * np.sin(th_m) * f
+    kz = K * pi_m * np.cos(th_m) * f
+    kp = K * pi_m * np.sin(th_m) * f
     c0 = np.zeros((3,) + f.shape + (4,))
     c1 = np.zeros_like(c0)
     c0[0, ..., 0] = f
@@ -258,17 +251,15 @@ def drift_velocity(params: DimensionlessParams) -> np.ndarray:
 def packet_normalization(params: DimensionlessParams) -> float:
     """Quadrature check of the joint amplitude normalization (should be 1)."""
     g = GaussianProfile.for_packet_width(params.r0_over_lambda)
-    k = k_factors(params)
     pi_m, th_m, w_m = momentum_grid(g.pi0)
-    norm = packet_norm_constant(g, k)
+    norm = packet_norm_constant(g)
     f2 = g.value(pi_m) ** 2
-    dens = f2 * (1.0 + 2.0 * k.k**2 * pi_m**2) / norm**2
+    dens = f2 * (1.0 + 2.0 * K**2 * pi_m**2) / norm**2
     return TWO_PI * float(np.sum(w_m * dens))
 
 
 __all__ = [
     "AmplitudeCoefficient",
-    "FitFailureError",
     "SpinInterpretation",
     "Trajectory",
     "amplitude_coefficients",

@@ -50,16 +50,21 @@ class FrequencyFit:
     residual_rms: float
 
 
+def _finite(a: np.ndarray, what: str, item: str) -> None:
+    """Raise ValueError naming the first non-finite entry of the 1-D array a, if any."""
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        raise ValueError(f"{what} must be finite: {bad.size} are not, the first {a[bad[0]]} "
+                         f"at {item} {bad[0]}")
+
+
 def _samples(times: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Validated float arrays and their sample spacing."""
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.shape != y.shape or len(t) < 8:
         raise ValueError("need matching 1-D arrays with at least 8 samples")
-    bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
-        raise ValueError(f"values must be finite: {bad.size} are not, the first {y[bad[0]]} "
-                         f"at sample {bad[0]}")
+    _finite(y, "values", "sample")
     dt = np.diff(t)
     if not (dt.min() > 0 and dt.max() - dt.min() <= 1e-9 * dt.mean()):
         raise ValueError("times must be strictly increasing and uniform")
@@ -76,11 +81,14 @@ def pencil_frequencies(values: np.ndarray, dt: float, rank: int | None = None) -
     factored once, H = QR, and the SVD is taken of the small square R, which
     has the same singular values and right singular vectors.  rank is
     the number of modes, by default the singular values above PENCIL_RTOL
-    times the largest (none for a zero series).  A given rank above the
-    window, which a series shorter than 2 * rank samples implies, raises
-    ValueError.
+    times the largest (none for a zero series).  An empty or non-finite
+    series raises ValueError, and so does a given rank above the window,
+    which a series shorter than 2 * rank samples implies.
     """
     y = np.asarray(values)
+    if y.ndim != 1 or not len(y):
+        raise ValueError(f"need a non-empty 1-D series, got shape {y.shape}")
+    _finite(y, "values", "sample")
     window = min(PENCIL_WINDOW, len(y) // 2)
     if rank is not None and rank > window:
         raise ValueError(f"rank {rank} exceeds the pencil window {window} of a series of "
@@ -163,10 +171,13 @@ def fit_frequencies(times: np.ndarray, values: np.ndarray, freq_seeds: np.ndarra
     Seeds must be close enough that the linear-in-amplitudes problem at the
     seed frequencies already separates the modes; the nonlinear step then
     converges to machine-level frequency estimates on noiseless data.  Raises
-    ValueError on bad sampling and FitFailureError when the residual fails
-    the gate.
+    ValueError on bad sampling or seeds, before any fitting, and
+    FitFailureError when the residual fails the gate.
     """
     t, y, _ = _samples(times, values)
-    seeds = np.abs(np.asarray(freq_seeds, dtype=float))
-    freqs, _, amps, residual_rms = _varpro(t, y, seeds, trend_degree)
+    seeds = np.asarray(freq_seeds, dtype=float)
+    if seeds.ndim != 1 or not len(seeds):
+        raise ValueError(f"need a non-empty 1-D list of frequency seeds, got shape {seeds.shape}")
+    _finite(seeds, "frequency seeds", "seed")
+    freqs, _, amps, residual_rms = _varpro(t, y, np.abs(seeds), trend_degree)
     return FrequencyFit(freqs=freqs, amplitudes=amps, residual_rms=residual_rms)

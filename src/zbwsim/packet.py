@@ -16,6 +16,8 @@ import numpy as np
 
 from .units import DimensionlessParams
 
+K = 0.5  # the field-free kinematic factor 1/(E + m) at rest, which the packet's spinors use
+
 
 class DegenerateDenominatorError(ValueError):
     """The packet-coefficient denominator vanished at a momentum node."""
@@ -59,11 +61,10 @@ class GaussianProfile:
 
 @dataclass(frozen=True)
 class KFactors:
-    """Kinematic factors K1 = 1/(2 - Omega), K2 = 1/(2 + Omega), K = 1/2."""
+    """Kinematic factors K1 = 1/(2 - Omega) and K2 = 1/(2 + Omega); at Omega = 0 both are K."""
 
     k1: float
     k2: float
-    k: float = 0.5
 
 
 def k_factors(params: DimensionlessParams) -> KFactors:
@@ -115,12 +116,12 @@ def exact_packet_coefficients(
     return PacketCoefficients(a=a, b=complex(b), c=complex(c), d=complex(d), gamma=complex(gamma))
 
 
-def packet_norm_constant(g: GaussianProfile, k: KFactors) -> float:
+def packet_norm_constant(g: GaussianProfile) -> float:
     """sqrt of the joint norm of the reduced amplitudes, integrated analytically.
 
-    sum |C|^2 = f^2 (1 + 2 K^2 pi^2) and <pi^2> = 3 pi0^2 / 4 under f^2.
+    sum |C|^2 = f^2 (1 + 2 K^2 pi^2) with K = :data:`K`, and <pi^2> = 3 pi0^2 / 4 under f^2.
     """
-    return math.sqrt(1.0 + 1.5 * k.k**2 * g.pi0**2)
+    return math.sqrt(1.0 + 1.5 * K**2 * g.pi0**2)
 
 
 @dataclass(frozen=True)

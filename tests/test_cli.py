@@ -187,6 +187,17 @@ def test_svg_outputs(tmp_path):
     assert "<rect" in _read(bars)
 
 
+def test_compare_svg_texts_do_not_overlap(tmp_path):
+    """No two <text> elements of the bar chart share (x, y): the cell labels are its x ticks."""
+    out = tmp_path / "bars.svg"
+    for epsilon in ("-1e-3", "0", "-0.099"):
+        assert main(["compare", "--epsilon", epsilon, "--out", str(out)]) == 0
+        texts = [t for t in ET.parse(out).getroot() if t.tag.endswith("text")]
+        spots = [(t.get("x"), t.get("y")) for t in texts]
+        assert len(set(spots)) == len(spots), epsilon
+        assert {"e-up", "e-down", "p-up", "p-down"} <= {t.text for t in texts}
+
+
 def test_compare_fit_needs_a_json_out(tmp_path, capsys, monkeypatch):
     """--fit with an .svg --out is refused before any table is computed."""
     monkeypatch.setattr(cli, "discrepancy_report", None)

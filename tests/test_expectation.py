@@ -29,7 +29,7 @@ from zbwsim.expectation import (
 )
 from zbwsim import fitting
 from zbwsim.fitting import FitFailureError, fit_frequencies, fit_sinusoid, pencil_frequencies
-from zbwsim.packet import GaussianProfile, k_factors, packet_norm_constant
+from zbwsim.packet import K, GaussianProfile, packet_norm_constant
 from zbwsim.units import OMEGA_ZBW, DimensionlessParams, cyclotron_frequency
 
 # Dirac alpha matrices: the Pauli matrices in the off-diagonal 2x2 blocks
@@ -74,10 +74,10 @@ def _node_bilinears(params, phi):
     return _alpha_pair(c[0], c[1]), _alpha_pair(c[0], c[2])
 
 
-def _grid_f2_k(params):
+def _grid_f2(params):
     g = GaussianProfile.for_packet_width(params.r0_over_lambda)
     pi_m, th_m, _ = momentum_grid(g.pi0)
-    return pi_m, th_m, g.value(pi_m) ** 2, k_factors(params).k
+    return pi_m, th_m, g.value(pi_m) ** 2
 
 
 def test_bilinear_factors_axial_node():
@@ -88,8 +88,8 @@ def test_bilinear_factors_axial_node():
     """
     for eps in (0.0, -1e-3):
         p = DimensionlessParams(epsilon=eps, r0_over_lambda=10.0)
-        pi_m, th_m, f2, kk = _grid_f2_k(p)
-        expected = -kk * pi_m * np.cos(th_m) * f2
+        pi_m, th_m, f2 = _grid_f2(p)
+        expected = -K * pi_m * np.cos(th_m) * f2
         for phi in (0.0, 1.1):
             axial, _ = _node_bilinears(p, phi)
             assert np.all(axial[..., :2] == 0.0)
@@ -104,10 +104,10 @@ def test_bilinear_factors_equatorial_node():
     """
     for eps in (0.0, -1e-3):
         p = DimensionlessParams(epsilon=eps, r0_over_lambda=10.0)
-        pi_m, th_m, f2, kk = _grid_f2_k(p)
+        pi_m, th_m, f2 = _grid_f2(p)
         for phi in (0.0, 1.1, 4.0):
             _, planar = _node_bilinears(p, phi)
-            x = -kk * pi_m * np.sin(th_m) * f2 * np.exp(1j * phi)
+            x = -K * pi_m * np.sin(th_m) * f2 * np.exp(1j * phi)
             scale = np.abs(x).max()
             assert np.abs(planar[..., 0] - x).max() <= 1e-15 * scale
             assert np.abs(planar[..., 1] + 1j * x).max() <= 1e-15 * scale
@@ -372,6 +372,17 @@ def test_pencil_rank_above_the_window_raises():
     assert pencil_frequencies(np.exp(-2j * 0.3 * np.arange(6)), 0.3, rank=3).shape == (3,)
 
 
+def test_pencil_input_guards():
+    """An empty or non-finite series raises ValueError, not an error from inside numpy."""
+    with pytest.raises(ValueError, match="non-empty 1-D series"):
+        pencil_frequencies(np.array([]), 0.3)
+    y = np.exp(-2j * 0.3 * np.arange(40))
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        y[17] = bad
+        with pytest.raises(ValueError, match="values must be finite: 1 are not, .* at sample 17"):
+            pencil_frequencies(y, 0.3)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.floats(-1e3, 1e3, allow_subnormal=False), st.floats(0.0, 5.0),
        st.floats(-1e3, 1e3, allow_subnormal=False))
@@ -419,6 +430,13 @@ def test_fit_frequencies_sampling_guards():
     y[-1] = math.inf
     with pytest.raises(ValueError, match="values must be finite"):
         fit_frequencies(t, y, [2.0])
+    y[-1] = 0.0
+    with pytest.raises(ValueError, match="non-empty 1-D list of frequency seeds"):
+        fit_frequencies(t, y, [])
+    for seeds in ([math.nan], [math.inf], [2.0, -math.inf]):
+        with pytest.raises(ValueError, match=f"seeds must be finite: 1 are not, the first "
+                                             f"{seeds[-1]} at seed {len(seeds) - 1}"):
+            fit_frequencies(t, y, seeds)
 
 
 # ---------------------------------------------------------- magnetic moment
@@ -520,7 +538,7 @@ def test_drift_spinors_carry_the_packet_norm(r0, spin):
     dens = np.sum(np.abs(c) ** 2, axis=(0, -1))  # (nu, nt, nphi), summed over labels
     total = (2.0 * math.pi / n_phi) * np.sum(w_m[..., None] * dens)
     g = GaussianProfile.for_packet_width(r0)
-    norm = packet_norm_constant(g, k_factors(p))
+    norm = packet_norm_constant(g)
     assert total / norm**2 == pytest.approx(packet_normalization(p), abs=1e-12)
 
 
@@ -540,19 +558,17 @@ def test_alpha_pair_matches_alpha_matrices():
 def _drift_reference(params, n_phi):
     """The drift as a full (label, pi, theta, phi, spinor) array summed over n_phi azimuth nodes."""
     g = GaussianProfile.for_packet_width(params.r0_over_lambda)
-    k = k_factors(params)
     pi_m, th_m, w_m = momentum_grid(g.pi0)
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
     f = g.value(pi_m)[..., None] + 0.0 * phis
     pz = (pi_m * np.cos(th_m))[..., None] + 0.0 * phis
     pp = (pi_m * np.sin(th_m))[..., None] * np.exp(1j * phis)
     zero = np.zeros_like(pp)
-    kk = k.k
     spinors = np.stack(
         [
-            np.stack([f + 0j, zero, kk * pz * f + 0j, kk * pp * f], axis=-1),  # pos_up
-            np.stack([zero, zero, -kk * pz * f + 0j, zero], axis=-1),          # neg_up
-            np.stack([zero, zero, zero, -kk * pp * f], axis=-1),               # neg_down
+            np.stack([f + 0j, zero, K * pz * f + 0j, K * pp * f], axis=-1),  # pos_up
+            np.stack([zero, zero, -K * pz * f + 0j, zero], axis=-1),         # neg_up
+            np.stack([zero, zero, zero, -K * pp * f], axis=-1),              # neg_down
         ]
     )
     dens = _alpha_pair(spinors, spinors).real.sum(axis=0)  # (nu, nt, nphi, 3)

@@ -38,6 +38,10 @@ CASES = {
     "classical.csv": (["classical", "--epsilon", "-3e-3", "--spin", "down", "--tau-max", "20",
                        "--dt", "0.02", "--out", OUT], False),
     "quantum.csv": (_QUANTUM + ["--t-max", "20", "--out", OUT], False),
+    "classical.svg": (["classical", "--epsilon", "-3e-3", "--spin", "down", "--tau-max", "20",
+                       "--dt", "0.02", "--out", OUT], False),
+    "quantum.svg": (["quantum", "--epsilon", "-1e-3", "--spin", "up", "--charge", "positron",
+                     "--phi0", "2.5", "--t-max", "20", "--out", OUT], False),
     "quantum_fit.json": (_QUANTUM + ["--fit", "--out", OUT], True),
 }
 

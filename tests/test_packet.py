@@ -5,6 +5,7 @@ import pytest
 
 from zbwsim.expectation import _drift_spinors, momentum_grid
 from zbwsim.packet import (
+    K,
     GaussianProfile,
     ImaginaryEnergyError,
     KFactors,
@@ -41,9 +42,9 @@ def test_k_factors_values_and_ordering():
     # Omega = -epsilon = +1e-3
     assert k.k1 == pytest.approx(1.0 / 1.999, rel=1e-12)
     assert k.k2 == pytest.approx(1.0 / 2.001, rel=1e-12)
-    assert k.k2 < k.k < k.k1
+    assert k.k2 < K < k.k1
     k0 = k_factors(DimensionlessParams(epsilon=0.0))
-    assert k0.k1 == k0.k2 == k0.k == 0.5
+    assert k0.k1 == k0.k2 == K == 0.5
 
 
 def _spinors_at(params, phi):
@@ -79,7 +80,7 @@ def test_spinor_trivial_momentum():
         u = _spinors_at(params, 0.7)[0] / g.value(pi_m)[..., None]
         assert np.max(np.abs(u[..., 0] - 1.0)) <= 1e-15 and np.all(u[..., 1] == 0.0)
         lower = np.linalg.norm(u[..., 2:], axis=-1)
-        np.testing.assert_allclose(lower, k_factors(params).k * pi_m, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(lower, K * pi_m, rtol=1e-14, atol=0.0)
 
 
 def test_spinor_axial_momentum():
@@ -196,7 +197,7 @@ def test_exact_coefficient_deviation_scales_linearly_in_epsilon():
 
 def test_packet_norm_constant():
     g = GaussianProfile.for_packet_width(100.0)
-    n = packet_norm_constant(g, K_FREE)
+    n = packet_norm_constant(g)
     assert n == pytest.approx(math.sqrt(1.0 + 1.5 * 0.25 * g.pi0**2), rel=1e-14)
 
 
