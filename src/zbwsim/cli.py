@@ -1,12 +1,14 @@
 """Command-line front end: quantum/classical runs, root tables, sweeps, plots.
 
-Subcommands
-    quantum    expectation-value trajectory -> CSV (t,x,y,z) or SVG orbit
-    classical  spinning-particle integration -> CSV (tau,x,y,z,vx,vy,vz,S12) or SVG
-    roots      characteristic-cubic roots -> JSON
-    landau     relativistic Landau energy -> JSON
-    compare    quantum-vs-classical shift report -> JSON (--fit: with fitted tables) or SVG
-    sweep      shift tables over an epsilon list -> CSV (--jobs N: on N processes)
+Each subcommand takes only the flags that change its answer (the classical model
+has no positron run), and all but landau and sweep need --epsilon or --tesla:
+    quantum    --spin --charge --phi0 --t-max --dt --fit --out: <r>(t) -> CSV (t,x,y,z)
+               or SVG orbit; --fit also prints the fitted frequency as JSON
+    classical  --spin --tau-max --dt --out: spinning-particle run -> CSV or SVG of v_x(tau)
+    roots      --spin --method --out: characteristic-cubic roots -> JSON
+    landau     --n --l --pz --sz --ceb --out: relativistic Landau energy -> JSON
+    compare    --fit --out: shift report -> JSON (--fit: with fitted tables) or SVG bars
+    sweep      --epsilons --jobs --out: shift tables over an epsilon list -> CSV
 
 Exit codes: 0 success, 2 configuration or file error, 3 numerical failure or
 out of memory.  Failures print one JSON object ({"error": ..., "detail": ...})
@@ -27,7 +29,7 @@ from .expectation import extract_frequency, quantum_trajectory
 from .fitting import FitFailureError
 from .packet import LandauLevel, landau_energy
 from .symmetry import APPROACHES, cp_check, discrepancy_report, shift_table
-from .units import DimensionlessParams, epsilon_from_tesla
+from .units import CHARGES, SPINS, DimensionlessParams, epsilon_from_tesla
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -38,35 +40,36 @@ _FLOAT = "%.12g"  # every float in a CSV
 # argparse (< 3.12) would otherwise read as an unknown option
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+\.?\d*[eE][-+]?\d+$")
 
-_NUMERICAL_ERRORS = (FitFailureError, bz.IntegrationUnstableError, np.linalg.LinAlgError,
-                     OverflowError)
-# (exception types, "error" label, exit code); the first match wins, so a ValueError
-# subclass such as ImaginaryEnergyError or bz.ComplexRootsError is a configuration error
+# (exception types, "error" label, exit code); the first match wins, so the numerical types
+# lead: np.linalg.LinAlgError is a ValueError, and every other ValueError is a config error
 _FAILURES = (
-    (ValueError, "config", EXIT_CONFIG),
-    (OSError, "io", EXIT_CONFIG),
-    (_NUMERICAL_ERRORS, "numerical", EXIT_NUMERICAL),
-    (MemoryError, "memory", EXIT_NUMERICAL),
+    ((FitFailureError, bz.IntegrationUnstableError, np.linalg.LinAlgError, OverflowError),
+     "numerical", EXIT_NUMERICAL),
+    ((MemoryError,), "memory", EXIT_NUMERICAL),
+    ((ValueError,), "config", EXIT_CONFIG),
+    ((OSError,), "io", EXIT_CONFIG),
 )
+_CAUGHT = tuple(t for types, _, _ in _FAILURES for t in types)
+
+# DimensionlessParams fields besides epsilon that a command can set, at the dataclass defaults
+_FIELD_OPTIONS = {"spin": {"choices": SPINS}, "charge": {"choices": CHARGES},
+                  "phi0": {"type": float, "help": "initial azimuth of the packet centre, rad"}}
 
 
-def _add_params(p: argparse.ArgumentParser, spin_charge: bool = True) -> None:
+def _add_params(p: argparse.ArgumentParser, *fields: str) -> None:
+    """--epsilon or --tesla, then one option per DimensionlessParams field the command reads."""
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--epsilon", type=float, help="dimensionless field parameter (<= 0)")
     g.add_argument("--tesla", type=float, help="flux density in tesla, converted to epsilon")
-    if spin_charge:
-        p.add_argument("--spin", choices=("up", "down"), default="up")
-        p.add_argument("--charge", choices=("electron", "positron"), default="electron")
+    for name in fields:
+        p.add_argument(f"--{name}", default=getattr(DimensionlessParams, name),
+                       **_FIELD_OPTIONS[name])
 
 
-def _params_from(args: argparse.Namespace, **extra) -> DimensionlessParams:
+def _params_from(args: argparse.Namespace) -> DimensionlessParams:
     eps = args.epsilon if args.epsilon is not None else epsilon_from_tesla(args.tesla)
-    kw = dict(
-        spin=getattr(args, "spin", "up"),
-        charge=getattr(args, "charge", "electron"),
-    )
-    kw.update(extra)
-    return DimensionlessParams(epsilon=eps, **kw)
+    return DimensionlessParams(epsilon=eps, **{f: getattr(args, f)
+                                               for f in _FIELD_OPTIONS if f in args})
 
 
 def _write(path: str, text: str) -> None:
@@ -102,7 +105,7 @@ def _write_csv(path: str, header: list[str], fmt: str, blocks) -> None:
 
 
 def _cmd_quantum(args: argparse.Namespace) -> int:
-    params = _params_from(args, r0_over_lambda=args.r0, phi0=args.phi0)
+    params = _params_from(args)
     traj = quantum_trajectory(params, t_max=args.t_max, dt=args.dt)
     if args.out.endswith(".svg"):
         _write(args.out, svgplot.planar_orbit_svg(
@@ -124,7 +127,7 @@ def _cmd_classical(args: argparse.Namespace) -> int:
     if args.out.endswith(".svg"):
         _write(args.out, svgplot.trajectory_svg(
             traj.tau, traj.v[:, 1],
-            f"v_x(tau), epsilon={params.epsilon:g}, spin {params.spin}", "tau", "v_x"))
+            f"v_x(tau), epsilon={params.epsilon:g}, spin {params.spin}"))
     else:
         _write_csv(args.out, ["tau", "x", "y", "z", "vx", "vy", "vz", "S12"],
                    ",".join([_FLOAT] * 8),
@@ -216,9 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True, parser_class=_parser)
 
     q = sub.add_parser("quantum", help="expectation-value trajectory")
-    _add_params(q)
-    q.add_argument("--r0", type=float, default=100.0, help="packet width / Compton wavelength")
-    q.add_argument("--phi0", type=float, default=0.0)
+    _add_params(q, "spin", "charge", "phi0")
     q.add_argument("--t-max", type=float, default=None)
     q.add_argument("--dt", type=float, default=None)
     q.add_argument("--fit", action="store_true", help="print fitted frequency as JSON")
@@ -226,14 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_quantum)
 
     c = sub.add_parser("classical", help="spinning-particle integration")
-    _add_params(c)
+    _add_params(c, "spin")
     c.add_argument("--tau-max", type=float, default=100.0)
     c.add_argument("--dt", type=float, default=0.01)
     c.add_argument("--out", required=True)
     c.set_defaults(func=_cmd_classical)
 
     r = sub.add_parser("roots", help="characteristic-cubic roots")
-    _add_params(r)
+    _add_params(r, "spin")
     r.add_argument("--method", choices=("exact", "rough", "accurate"), default="exact")
     r.add_argument("--out", default=None)
     r.set_defaults(func=_cmd_roots)
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     ll.set_defaults(func=_cmd_landau)
 
     cp = sub.add_parser("compare", help="quantum-vs-classical shift report")
-    _add_params(cp, spin_charge=False)
+    _add_params(cp)
     cp.add_argument("--fit", action="store_true",
                     help="also rerun both pipelines end to end (slow; JSON --out only)")
     cp.add_argument("--out", required=True)
@@ -268,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help
         return EXIT_CONFIG if exc.code else 0
-    except (ValueError, OSError, MemoryError, *_NUMERICAL_ERRORS) as exc:
+    except _CAUGHT as exc:
         label, code = next((lb, c) for types, lb, c in _FAILURES if isinstance(exc, types))
         print(json.dumps({"error": label, "detail": str(exc)}), file=sys.stderr)
         return code

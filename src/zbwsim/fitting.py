@@ -46,7 +46,6 @@ class SinusoidFit:
 @dataclass(frozen=True)
 class FrequencyFit:
     freqs: np.ndarray
-    amplitudes: np.ndarray
     residual_rms: float
 
 
@@ -179,5 +178,5 @@ def fit_frequencies(times: np.ndarray, values: np.ndarray, freq_seeds: np.ndarra
     if seeds.ndim != 1 or not len(seeds):
         raise ValueError(f"need a non-empty 1-D list of frequency seeds, got shape {seeds.shape}")
     _finite(seeds, "frequency seeds", "seed")
-    freqs, _, amps, residual_rms = _varpro(t, y, np.abs(seeds), trend_degree)
-    return FrequencyFit(freqs=freqs, amplitudes=amps, residual_rms=residual_rms)
+    freqs, _, _, residual_rms = _varpro(t, y, np.abs(seeds), trend_degree)
+    return FrequencyFit(freqs=freqs, residual_rms=residual_rms)

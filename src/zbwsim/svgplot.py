@@ -119,14 +119,13 @@ def _line_plot(title: str, x: np.ndarray, y: np.ndarray, xlo: float, xhi: float,
     return c.render()
 
 
-def trajectory_svg(times: np.ndarray, series: np.ndarray, title: str,
-                   xlabel: str, ylabel: str) -> str:
-    """Single-series line plot of a sampled signal."""
+def trajectory_svg(times: np.ndarray, series: np.ndarray, title: str) -> str:
+    """Line plot of a classical run's v_x against its proper time tau."""
     t = np.asarray(times, dtype=float)
     y = np.asarray(series, dtype=float)
     pad = 0.05 * (y.max() - y.min() or 1.0)
     return _line_plot(title, t, y, float(t[0]), float(t[-1]), float(y.min() - pad),
-                      float(y.max() + pad), xlabel, ylabel)
+                      float(y.max() + pad), "tau", "v_x")
 
 
 def planar_orbit_svg(x: np.ndarray, y: np.ndarray, title: str) -> str:

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -86,8 +87,7 @@ def test_csv_rows_match_per_value_format(tmp_path):
 def test_quantum_csv_free_case(tmp_path):
     out = tmp_path / "t.csv"
     rc = main(["quantum", "--spin", "up", "--charge", "electron", "--epsilon", "0",
-               "--r0", "100", "--phi0", "0", "--t-max", "31.4", "--dt", "0.0314",
-               "--out", str(out)])
+               "--phi0", "0", "--t-max", "31.4", "--dt", "0.0314", "--out", str(out)])
     assert rc == 0
     data = np.genfromtxt(out, delimiter=",", names=True)
     assert tuple(data.dtype.names) == ("t", "x", "y", "z")
@@ -309,6 +309,96 @@ def test_tesla_flag(tmp_path, capsys):
     assert payload["epsilon"] == pytest.approx(-1.13275e-10, rel=1e-4)
 
 
+# a quick valid run of each command, as {option: value}
+_BASE_ARGS = {
+    "quantum": {"--epsilon": "-1e-3", "--t-max": "31.4", "--dt": "0.0314"},
+    "classical": {"--epsilon": "-1e-3", "--tau-max": "2", "--dt": "0.01"},
+    "roots": {"--epsilon": "-1e-3"},
+    "landau": {"--n": "1", "--l": "-1", "--ceb": "0.01"},
+    "compare": {"--epsilon": "-1e-3"},
+    "sweep": {"--epsilons": "-1e-3"},
+}
+# (command, option, two values that must give different outputs); None leaves a
+# flag out and True gives it
+_OPTION_VALUES = [
+    *[(cmd, "--epsilon", "-1e-3", "-2e-3") for cmd in ("quantum", "classical", "roots", "compare")],
+    *[(cmd, "--tesla", "1e6", "2e6") for cmd in ("quantum", "classical", "roots", "compare")],
+    *[(cmd, "--spin", "up", "down") for cmd in ("quantum", "classical", "roots")],
+    ("quantum", "--charge", "electron", "positron"),
+    ("quantum", "--phi0", "0", "0.5"),
+    ("quantum", "--t-max", "31.4", "62.8"),
+    ("quantum", "--dt", "0.0314", "0.0157"),
+    ("quantum", "--fit", None, True),
+    ("classical", "--tau-max", "2", "3"),
+    ("classical", "--dt", "0.01", "0.02"),
+    ("roots", "--method", "exact", "rough"),
+    ("landau", "--n", "1", "3"),
+    ("landau", "--l", "-1", "1"),
+    ("landau", "--pz", "0", "0.5"),
+    ("landau", "--sz", "0.5", "-0.5"),
+    ("landau", "--ceb", "0.01", "0.02"),
+    ("compare", "--fit", None, True),
+    ("sweep", "--epsilons", "-1e-3", "-2e-3"),
+]
+
+
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    ap = cli.build_parser()
+    return next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_option_table_names_every_option():
+    """Every option but --out and --jobs has a row in _OPTION_VALUES."""
+    commands = _commands()
+    assert set(commands) == set(_BASE_ARGS)
+    for name, parser in commands.items():
+        options = {o for a in parser._actions for o in a.option_strings if o.startswith("--")}
+        assert options - {"--help", "--out", "--jobs"} == {
+            opt for cmd, opt, *_ in _OPTION_VALUES if cmd == name}, name
+
+
+@pytest.mark.parametrize("command, option, a, b", _OPTION_VALUES)
+def test_every_option_changes_the_output(tmp_path, capsys, command, option, a, b):
+    """Two values of an option give different --out bytes or stdout."""
+    outputs = []
+    for k, value in enumerate((a, b)):
+        args = {**_BASE_ARGS[command], option: value}
+        if option == "--tesla":
+            del args["--epsilon"]
+        argv = [command]
+        for opt, v in args.items():
+            argv += [] if v is None else [opt] if v is True else [opt, v]
+        out = tmp_path / f"{k}{'.csv' if command in ('quantum', 'classical', 'sweep') else '.json'}"
+        assert main([*argv, "--out", str(out)]) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] != outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--epsilon", "-1e-3", "--charge", "positron"],
+    ["classical", "--epsilon", "-1e-3", "--charge", "positron"],
+    ["quantum", "--epsilon", "-1e-3", "--r0", "10"],
+])
+def test_removed_options_are_usage_errors(tmp_path, capsys, argv):
+    """The classical runs have no positron and the quantum orbit no packet width to set."""
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = _one_error_line(capsys.readouterr().err)
+    assert err == {"error": "config", "detail": f"unrecognized arguments: {' '.join(argv[3:])}"}
+    assert not out.exists()
+
+
+def test_linalg_error_is_numerical(tmp_path, capsys, monkeypatch):
+    """np.linalg.LinAlgError is a ValueError, yet a numerical failure: exit 3, not 2."""
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli.bz, "pencil_frequencies", no_convergence)
+    rc = main(["compare", "--epsilon", "-1e-3", "--fit", "--out", str(tmp_path / "r.json")])
+    err = _one_error_line(capsys.readouterr().err)
+    assert (rc, err) == (3, {"error": "numerical", "detail": "SVD did not converge"})
+
+
 # one value at a time is swapped for one of these to probe the input checks
 _SPECIAL = [0.0, -1.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324]
 
@@ -342,7 +432,7 @@ def _argv(draw):
     if cmd == "quantum":
         args.update({"--charge": draw(st.sampled_from(["electron", "positron"])),
                      "--t-max": fl(0.0, 50.0), "--dt": fl(0.005, 0.07),
-                     "--r0": fl(10.0, 1e4), "--phi0": fl(-10.0, 10.0)})
+                     "--phi0": fl(-10.0, 10.0)})
         if draw(st.booleans()):
             args["--fit"] = None
     floats = [k for k, v in args.items() if isinstance(v, float)]

@@ -6,6 +6,7 @@ import pytest
 from zbwsim.expectation import _drift_spinors, momentum_grid
 from zbwsim.packet import (
     K,
+    DegenerateDenominatorError,
     GaussianProfile,
     ImaginaryEnergyError,
     KFactors,
@@ -149,6 +150,12 @@ def test_exact_coefficients_zero_momentum():
     assert co.a == pytest.approx(1.0)
     assert co.c == 0.0 and co.d == 0.0
     assert co.gamma == pytest.approx(1.0)
+
+
+def test_exact_coefficients_degenerate_denominator():
+    """K1 = -K2 = 1 at pi = 1 in the plane: Gamma = (1 - rho^2)^2 rounds to exactly 0."""
+    with pytest.raises(DegenerateDenominatorError, match="Gamma"):
+        exact_packet_coefficients(MomentumPoint(1.0, math.pi / 2, 0.0), KFactors(1.0, -1.0))
 
 
 def test_exact_coefficients_small_b_bound():
