@@ -3,10 +3,10 @@
 Integrates the coupled (x, pi, v, S) first-order system with a high-order
 Taylor method and dense output, solves the characteristic cubic for the
 planar rotation frequencies exactly and perturbatively, and extracts mode
-frequencies from simulated trajectories: :func:`spectral_frequencies` seeds
-its fits from the matrix pencil of v_x + i v_y, never from the cubic, so the
-fitted frequencies check the roots rather than restate them, and fits samples
-about fitting.FIT_STEP apart (10 per trembling period), not the whole grid.
+frequencies from simulated trajectories: :func:`spectral_frequencies` reads
+the signed modes off the matrix pencil of v_x + i v_y, never off the cubic, so
+the fitted frequencies check the roots rather than restate them, and reads
+samples about fitting.FIT_STEP apart (10 per trembling period), not the whole grid.
 
 A phase point is one flat vector of 28 floats: y[0:4] = x, y[4:8] = pi,
 y[8:12] = v and y[12:28] = S^{mu nu} in row-major order; a batch of runs is
@@ -367,14 +367,14 @@ def integrate_reduced(
 def spectral_frequencies(
     params: DimensionlessParams, tau_max: float, dt: float
 ) -> tuple[FrequencyFit, ...]:
-    """Integrate both spins' field runs in one batch and fit each v_x spectrum.
+    """Integrate both spins' field runs in one batch and read each one's three modes.
 
-    Returns one fit per spin, in SPINS order.  Each fit reads every
-    int(FIT_STEP / dt)-th sample (:data:`zbwsim.fitting.FIT_STEP`, 10 per
-    trembling period).  Its seeds are the three signed modes that
-    :func:`pencil_frequencies` finds in w = v_x + i v_y, and it refines
-    |omega_slow|, omega_+, |omega_-| plus a constant against v_x, so freqs[-2:]
-    are the positive and the negative trembling mode.  No cubic is consulted.
+    Returns one fit per spin, in SPINS order, with freqs |omega_slow|, omega_+
+    and |omega_-|, from every int(FIT_STEP / dt)-th sample (:data:`FIT_STEP`).
+    The fast pair is read off :func:`pencil_frequencies` of w = v_x + i v_y,
+    where it sits near +-2; on the real v_x the two differ only by 2|epsilon|.
+    The slow mode is refined with a constant against v_x, whose residual
+    gates the fit.  No cubic is consulted.
     """
     runs = [replace(params, spin=spin) for spin in SPINS]
     traj = integrate(np.stack([make_initial_state(p) for p in runs]), params, tau_max, dt)
@@ -384,5 +384,6 @@ def spectral_frequencies(
     for k in range(len(SPINS)):
         w = v[:, k, 1] + 1j * v[:, k, 2]
         neg, slow, pos = np.sort(pencil_frequencies(w, stride * dt, rank=3))  # ~ -2, ~0, ~2
-        fits.append(fit_frequencies(tau, w.real, [abs(slow), pos, abs(neg)]))
+        fit = fit_frequencies(tau, w.real, [abs(slow), pos, abs(neg)])
+        fits.append(replace(fit, freqs=np.array([fit.freqs[0], pos, -neg])))
     return tuple(fits)

@@ -135,10 +135,13 @@ def extract_frequency(traj: Trajectory) -> SinusoidFit:
     the interval count, so the fit reads about 10 samples per trembling
     period, 1,001 of the default trajectory's 10,001, and keeps both ends of
     the span: a stride that dropped a partial last interval could shorten
-    the span below the fit's 3 periods.
+    the span below the fit's 3 periods.  s is at most the interval count,
+    and without a positive first spacing it is 1; :func:`fit_sinusoid`'s
+    sampling checks then report the trajectory.
     """
     intervals = len(traj.times) - 1
-    most = max(1, int(FIT_STEP / (traj.times[1] - traj.times[0]))) if intervals else 1
+    spacing = traj.times[1] - traj.times[0] if intervals > 0 else 0.0
+    most = max(1, int(FIT_STEP / max(spacing, FIT_STEP / intervals))) if spacing > 0 else 1
     stride = next(s for s in range(most, 0, -1) if intervals % s == 0)
     return fit_sinusoid(traj.times[::stride], traj.positions[::stride, 0])
 

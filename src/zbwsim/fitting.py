@@ -16,6 +16,7 @@ samples per trembling period: :func:`zbwsim.bz.spectral_frequencies` and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,15 +32,13 @@ FIT_STEP = math.pi / 10.0  # sample spacing the fit paths read: 10 per trembling
 
 
 class FitFailureError(RuntimeError):
-    """Residual exceeded the sinusoid model tolerance."""
+    """The refinement overflowed, or its residual exceeded the sinusoid model tolerance."""
 
 
 @dataclass(frozen=True)
 class SinusoidFit:
     omega: float
     amplitude: float
-    phase: float
-    offset: float
     residual_rms: float
 
 
@@ -81,9 +80,12 @@ def pencil_frequencies(values: np.ndarray, dt: float, rank: int | None = None) -
     has the same singular values and right singular vectors.  rank is
     the number of modes, by default the singular values above PENCIL_RTOL
     times the largest (none for a zero series).  An empty or non-finite
-    series raises ValueError, and so does a given rank above the window,
-    which a series shorter than 2 * rank samples implies.
+    series, a dt that is not a finite normal float > 0 (so that no omega_k
+    overflows), and a given rank above the window (a series shorter than
+    2 * rank samples) raise ValueError.
     """
+    if not sys.float_info.min <= dt < math.inf:
+        raise ValueError(f"dt must be finite and at least {sys.float_info.min:g}, got {dt!r}")
     y = np.asarray(values)
     if y.ndim != 1 or not len(y):
         raise ValueError(f"need a non-empty 1-D series, got shape {y.shape}")
@@ -109,22 +111,28 @@ def _design(freqs: np.ndarray, t: np.ndarray, trend_degree: int) -> np.ndarray:
 
 
 def _varpro(t: np.ndarray, y: np.ndarray, seeds: np.ndarray,
-            trend_degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Refine seeds; return (freqs, linear coefficients, amplitudes, residual RMS).
+            trend_degree: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Refine seeds; return (freqs, amplitudes, residual RMS).
 
     Raises FitFailureError unless the largest fitted amplitude is positive
     and the RMS residual is at most RESIDUAL_TOL times both that amplitude
     and the RMS of the centred data (model mismatch, e.g. a missing tone).
     The second bound catches a tone that cancels the trend columns, whose
-    amplitude grows with the mismatch instead of bounding it.
+    amplitude grows with the mismatch instead of bounding it.  An overflow in
+    the refinement is one too: a seed near 1e-100 starts its trust region at
+    a radius near 1e-97.
     """
     def residual(freqs):
         dm = _design(freqs, t, trend_degree)
         coef, *_ = np.linalg.lstsq(dm, y, rcond=None)
         return dm @ coef - y
 
-    sol = least_squares(residual, seeds, xtol=1e-15, ftol=1e-15, gtol=1e-15, method="trf",
-                        x_scale=np.maximum(np.abs(seeds), 1e-3))
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            sol = least_squares(residual, seeds, xtol=1e-15, ftol=1e-15, gtol=1e-15,
+                                method="trf", x_scale=np.maximum(np.abs(seeds), 1e-3))
+    except FloatingPointError as exc:
+        raise FitFailureError(f"the refinement left the float range: {exc}") from exc
     freqs = np.abs(sol.x)
     dm = _design(freqs, t, trend_degree)
     coef, *_ = np.linalg.lstsq(dm, y, rcond=None)
@@ -137,11 +145,11 @@ def _varpro(t: np.ndarray, y: np.ndarray, seeds: np.ndarray,
         if not residual_rms <= RESIDUAL_TOL * bound:
             raise FitFailureError(f"residual rms {residual_rms:g} exceeds {RESIDUAL_TOL:g} x "
                                   f"{what} {bound:g}")
-    return freqs, coef, amps, residual_rms
+    return freqs, amps, residual_rms
 
 
 def fit_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
-    """Fit A sin(omega t + phi) + c to a uniformly sampled series.
+    """Fit A sin(omega t + phi) + c to a uniformly sampled series: omega, A and the RMS residual.
 
     The seed is the fastest mode of :func:`pencil_frequencies`.  Raises
     ValueError when the series holds no tone, or the sampling is too coarse
@@ -157,10 +165,8 @@ def fit_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
         raise ValueError(f"fewer than 8 samples per period {period:g}")
     if t[-1] - t[0] < 3.0 * period:
         raise ValueError(f"span shorter than 3 periods of {period:g}")
-    freqs, coef, amps, residual_rms = _varpro(t, y, np.array([w0]), 0)
-    return SinusoidFit(omega=float(freqs[0]), amplitude=float(amps[0]),
-                       phase=math.atan2(coef[0], coef[1]), offset=float(coef[2]),
-                       residual_rms=residual_rms)
+    freqs, amps, residual_rms = _varpro(t, y, np.array([w0]), 0)
+    return SinusoidFit(omega=float(freqs[0]), amplitude=float(amps[0]), residual_rms=residual_rms)
 
 
 def fit_frequencies(times: np.ndarray, values: np.ndarray, freq_seeds: np.ndarray,
@@ -178,5 +184,5 @@ def fit_frequencies(times: np.ndarray, values: np.ndarray, freq_seeds: np.ndarra
     if seeds.ndim != 1 or not len(seeds):
         raise ValueError(f"need a non-empty 1-D list of frequency seeds, got shape {seeds.shape}")
     _finite(seeds, "frequency seeds", "seed")
-    freqs, _, _, residual_rms = _varpro(t, y, np.abs(seeds), trend_degree)
+    freqs, _, residual_rms = _varpro(t, y, np.abs(seeds), trend_degree)
     return FrequencyFit(freqs=freqs, residual_rms=residual_rms)

@@ -35,15 +35,6 @@ class MomentumPoint:
     theta: float
     phi: float
 
-    @property
-    def pi_plus(self) -> complex:
-        """pi_x + i pi_y."""
-        return self.pi * math.sin(self.theta) * complex(math.cos(self.phi), math.sin(self.phi))
-
-    @property
-    def pi_z(self) -> float:
-        return self.pi * math.cos(self.theta)
-
 
 @dataclass(frozen=True)
 class GaussianProfile:
@@ -74,28 +65,25 @@ def k_factors(params: DimensionlessParams) -> KFactors:
 
 @dataclass(frozen=True)
 class PacketCoefficients:
-    """Exact packet weights and their common denominator."""
+    """Exact packet weights, already divided by their common denominator Gamma."""
 
     a: complex
     b: complex
     c: complex
     d: complex
-    gamma: complex
 
 
-def exact_packet_coefficients(
-    p: MomentumPoint,
-    k: KFactors,
-    f: float = 1.0,
-) -> PacketCoefficients:
+def exact_packet_coefficients(p: MomentumPoint, k: KFactors) -> PacketCoefficients:
     """Exact rational packet weights for the spin-up localized initial state.
 
-    Momenta are treated as commuting numbers; with equal K factors these
-    collapse to the rough weights (f, 0, -K pi_z f, -K pi_+ f) up to the
-    shared 1/(1 + K^2 pi^2) denominator.
+    The weights are per unit profile value f, which scales all four.  Momenta
+    are commuting numbers, pi_z = pi cos(theta) and pi_+ = pi_x + i pi_y; with
+    equal K factors the weights collapse to the rough ones (1, 0, -K pi_z,
+    -K pi_+) up to the shared 1/(1 + K^2 pi^2) denominator.
     """
     k1, k2 = k.k1, k.k2
-    pz, pp = p.pi_z, p.pi_plus
+    pz = p.pi * math.cos(p.theta)
+    pp = p.pi * math.sin(p.theta) * complex(math.cos(p.phi), math.sin(p.phi))
     rho2 = abs(pp) ** 2  # pi_+ pi_- as commuting numbers
 
     gamma = (
@@ -109,11 +97,11 @@ def exact_packet_coefficients(
     if abs(gamma) < 1e-300:
         raise DegenerateDenominatorError(f"|Gamma| = {abs(gamma):g} at pi = {p}")
 
-    a = (1.0 + k1**2 * pz**2 + k1 * k2 * rho2) / gamma * f
-    b = pz * pp * (k1 * k2 - k2**2) / gamma * f
-    c = -k2 * pz * (1.0 + k1**2 * (pz**2 + rho2)) / gamma * f
-    d = -k2 * pp * (1.0 + k1 * k2 * (pz**2 + rho2)) / gamma * f
-    return PacketCoefficients(a=a, b=complex(b), c=complex(c), d=complex(d), gamma=complex(gamma))
+    a = (1.0 + k1**2 * pz**2 + k1 * k2 * rho2) / gamma
+    b = pz * pp * (k1 * k2 - k2**2) / gamma
+    c = -k2 * pz * (1.0 + k1**2 * (pz**2 + rho2)) / gamma
+    d = -k2 * pp * (1.0 + k1 * k2 * (pz**2 + rho2)) / gamma
+    return PacketCoefficients(a=a, b=complex(b), c=complex(c), d=complex(d))
 
 
 def packet_norm_constant(g: GaussianProfile) -> float:

@@ -145,7 +145,7 @@ def fitted_classical_table(
     its particle and antiparticle cells by the cubic tables' rule.  The fits
     (:func:`spectral_frequencies`) take their seeds from the trajectory
     alone, never from the cubic whose roots the table is checked against,
-    and fit all three modes at every epsilon.
+    and read the fast pair off the complex v_x + i v_y at every epsilon.
     """
     fits = dict(zip(SPINS, spectral_frequencies(params, tau_max=tau_max, dt=dt)))
     return _table("classical_accurate", params, lambda p: _fast_mode_shift(

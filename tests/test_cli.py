@@ -177,6 +177,21 @@ def test_compare_fit_at_large_field(tmp_path):
     assert fitted["cp"]["verdict"] == "cp_violated"
 
 
+def test_compare_fit_at_a_laboratory_field(tmp_path):
+    """At 10 T the fitted classical cells are the cubic's (-4, +2, +2, -4) epsilon, ratio 2.
+
+    A fit of the real v_x gave (-3.34, +2.79, +2.65, -3.21) epsilon and a ratio of 1.199.
+    """
+    out = tmp_path / "r.json"
+    assert main(["compare", "--tesla", "10", "--fit", "--out", str(out)]) == 0
+    report = json.loads(_read(out))
+    fitted = report["fitted"]["classical_accurate"]
+    for cell, factor in zip(fitted["cells"], (-4.0, 2.0, 2.0, -4.0)):
+        want = factor * report["epsilon"]
+        assert abs(cell["delta_omega"] - want) <= 2e-6 * abs(want), cell
+    assert fitted["cp"]["asymmetry_ratio"] == pytest.approx(2.0, abs=1e-5)
+
+
 def test_svg_outputs(tmp_path):
     orbit = tmp_path / "orbit.svg"
     assert main(["quantum", "--epsilon", "-1e-3", "--t-max", "6.3", "--dt", "0.01",

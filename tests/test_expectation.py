@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,22 @@ def test_extract_frequency_reads_ten_samples_per_period(monkeypatch):
     assert (times[0], times[-1]) == (traj.times[0], traj.times[-1])  # both ends kept
 
 
+def test_extract_frequency_empty_trajectory_raises_value_error():
+    """An empty trajectory has no spacing to read; the fit's sample-count check reports it."""
+    empty = expectation.Trajectory(times=np.zeros(0), positions=np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="at least 8 samples"):
+        extract_frequency(empty)
+
+
+def test_extract_frequency_stride_search_is_bounded_by_the_interval_count():
+    """At dt = 1e-9 the stride search began at FIT_STEP / dt = 3e8 and took seconds."""
+    short = expectation.Trajectory(times=1e-9 * np.arange(101), positions=np.zeros((101, 3)))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="at least 8 samples"):
+        extract_frequency(short)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_strided_fit_matches_the_full_grid():
     """Every cell fits the same omega on every tenth sample as on all of them."""
     for eps, spin, charge, r0 in itertools.product(
@@ -271,9 +288,7 @@ def test_fit_sinusoid_shifted_tone():
     t = np.arange(0, 200, 0.03)
     fit = fit_sinusoid(t, 0.7 * np.sin(2.002 * t + 0.3) + 0.1)
     assert fit.omega == pytest.approx(2.002, rel=1e-6)
-    assert fit.phase == pytest.approx(0.3, abs=1e-5)
     assert fit.amplitude == pytest.approx(0.7, rel=1e-6)
-    assert fit.offset == pytest.approx(0.1, abs=1e-8)
 
 
 def test_fit_sinusoid_rejects_two_tone():
@@ -381,6 +396,11 @@ def test_pencil_input_guards():
         y[17] = bad
         with pytest.raises(ValueError, match="values must be finite: 1 are not, .* at sample 17"):
             pencil_frequencies(y, 0.3)
+    # dt = 0 gave +-inf, NaN gave NaN, -0.3 flipped every sign, inf gave 0 and
+    # a subnormal dt overflowed to +-inf
+    for dt in (0.0, math.nan, -0.3, math.inf, 1e-320):
+        with pytest.raises(ValueError, match="dt must be finite and at least 2.22507e-308"):
+            pencil_frequencies(np.exp(-2j * 0.3 * np.arange(40)), dt)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -401,7 +421,61 @@ def test_fit_sinusoid_contract(amplitude, omega, offset):
         fit = fit_sinusoid(t, y)
     except (ValueError, FitFailureError):
         return
-    assert np.isfinite([fit.omega, fit.amplitude, fit.phase, fit.offset, fit.residual_rms]).all()
+    assert np.isfinite([fit.omega, fit.amplitude, fit.residual_rms]).all()
+
+
+def _fit_layer_call(name, values, dt, seed, rank):
+    """The numbers one fit-layer call returns for values sampled every dt from t = 0."""
+    t = dt * np.arange(len(values))
+    if name == "pencil_frequencies":
+        return pencil_frequencies(values, dt, rank)
+    if name == "fit_frequencies":
+        fit = fit_frequencies(t, values, [seed])
+        return np.append(fit.freqs, fit.residual_rms)
+    if name == "fit_sinusoid":
+        fit = fit_sinusoid(t, values)
+    else:
+        positions = np.column_stack([values, np.zeros_like(values), np.zeros_like(values)])
+        fit = extract_frequency(expectation.Trajectory(times=t, positions=positions))
+    return np.array([fit.omega, fit.amplitude, fit.residual_rms])
+
+
+@pytest.mark.parametrize("name", ["pencil_frequencies", "fit_sinusoid", "fit_frequencies",
+                                  "extract_frequency"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 2000), dt=st.floats(1e-3, 1.0), amplitude=st.floats(-1e3, 1e3),
+       omega=st.floats(0.0, 5.0), offset=st.floats(-1e3, 1e3), seed=st.floats(-10.0, 10.0),
+       rank=st.none() | st.integers(0, 20), nan_at=st.none() | st.integers(0, 2000))
+@example(n=2000, dt=0.05, amplitude=0.0, omega=2.0, offset=0.0, seed=2.0, rank=None,
+         nan_at=None)  # the zero series with seed [2.0]
+@example(n=2000, dt=0.05, amplitude=1.0, omega=2.0, offset=0.0, seed=0.05, rank=None,
+         nan_at=None)  # sin 2t with seed 0.05
+@example(n=2000, dt=0.05, amplitude=1.0, omega=2.0, offset=0.0, seed=2.0, rank=None,
+         nan_at=5)  # a NaN value
+@example(n=30, dt=0.05, amplitude=1.0, omega=2.0, offset=0.0, seed=2.0, rank=20,
+         nan_at=None)  # a rank above the window of 12
+@example(n=2000, dt=0.0, amplitude=1.0, omega=2.0, offset=0.0, seed=2.0, rank=None,
+         nan_at=None)
+@example(n=2000, dt=-0.3, amplitude=1.0, omega=2.0, offset=0.0, seed=2.0, rank=None,
+         nan_at=None)
+@example(n=0, dt=0.05, amplitude=1.0, omega=2.0, offset=0.0, seed=2.0, rank=None,
+         nan_at=None)  # the empty series, and the empty trajectory
+@example(n=101, dt=1e-9, amplitude=1.0, omega=2.0, offset=0.0, seed=2.0, rank=None,
+         nan_at=None)  # the stride search started at 3e8
+@example(n=2000, dt=1e-320, amplitude=1.0, omega=2.0, offset=0.0, seed=2.0, rank=None,
+         nan_at=None)
+@example(n=17, dt=0.5, amplitude=148.0, omega=0.5, offset=0.0, seed=4.3366063933048743e-97,
+         rank=None, nan_at=None)  # the refinement's first step overflowed
+def test_fit_layer_contract(name, n, dt, amplitude, omega, offset, seed, rank, nan_at):
+    """Every fit-layer call returns finite numbers or raises ValueError or FitFailureError."""
+    values = amplitude * np.sin(omega * dt * np.arange(n)) + offset
+    if nan_at is not None and nan_at < n:
+        values[nan_at] = math.nan
+    try:
+        out = _fit_layer_call(name, values, dt, seed, rank)
+    except (ValueError, FitFailureError):
+        return
+    assert np.isfinite(out).all()
 
 
 def test_fit_frequencies_residual_gate():
@@ -646,7 +720,7 @@ def test_quadrature_contract(log_r0, epsilon, spin, charge, phi0):
     assert np.max(np.abs(drift_velocity(p))) <= 1e-10
 
 
-def test_leggauss_cache_is_shared_and_read_only():
+def test_unit_mesh_is_shared_and_read_only():
     """The Gauss-Legendre mesh at pi0 = 1 is built once; every grid shares its read-only theta."""
     mesh = expectation._unit_mesh()
     assert all(a is b for a, b in zip(expectation._unit_mesh(), mesh))
@@ -666,7 +740,7 @@ def _grid_per_call(pi0):
     return pi_m, th_m, w_m * pi_m**2 * np.sin(th_m)
 
 
-def test_leggauss_cache_changes_no_quadrature(monkeypatch):
+def test_unit_mesh_changes_no_quadrature(monkeypatch):
     """The scaled unit mesh is the grid built at pi0 to rounding, and caching moves no quadrature."""
     for pi0 in (0.1, 1e-2, 1e-12):
         for cached, direct in zip(momentum_grid(pi0), _grid_per_call(pi0)):
@@ -683,7 +757,7 @@ def test_leggauss_cache_changes_no_quadrature(monkeypatch):
     assert quadratures() == cached
 
 
-def test_leggauss_cache_fills_on_first_use():
+def test_unit_mesh_fills_on_first_use():
     env = dict(os.environ, PYTHONPATH=str(Path(zbwsim.__file__).parents[1]))
     code = ("import zbwsim.cli, zbwsim.expectation as e; "
             "print(e._unit_mesh.cache_info().currsize)")

@@ -6,6 +6,9 @@ BLAS may sum a small matmul in another order), and a zero with its sign.  A
 change that moves an answer on purpose regenerates every file with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints, per file, "unchanged" or the largest absolute and relative
+change of its numbers.
 """
 import contextlib
 import io
@@ -69,6 +72,10 @@ def _parse(name: str, text: str):
     return [[_field(f) for f in line.split(",")] for line in text.splitlines()]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _same(got, want, where: str) -> None:
     if isinstance(want, dict):
         assert isinstance(got, dict) and got.keys() == want.keys(), where
@@ -78,8 +85,8 @@ def _same(got, want, where: str) -> None:
         assert isinstance(got, list) and len(got) == len(want), where
         for i, (g, w) in enumerate(zip(got, want)):
             _same(g, w, f"{where}[{i}]")
-    elif isinstance(want, (int, float)) and not isinstance(want, bool):
-        assert isinstance(got, (int, float)) and not isinstance(got, bool), where
+    elif _is_number(want):
+        assert _is_number(got), where
         assert math.isclose(got, want, rel_tol=RTOL, abs_tol=0.0), f"{where}: {got!r} != {want!r}"
         assert math.copysign(1.0, got) == math.copysign(1.0, want), f"{where}: sign of {got!r}"
     else:
@@ -92,9 +99,47 @@ def test_golden_answer(name, tmp_path):
     _same(got, _parse(name, (GOLDEN / name).read_text()), name)
 
 
+def _leaves(tree, where: str = "") -> list:
+    """(path, value) for every leaf of a parsed answer."""
+    if isinstance(tree, dict):
+        return [leaf for key in tree for leaf in _leaves(tree[key], f"{where}.{key}")]
+    if isinstance(tree, list):
+        return [leaf for i, item in enumerate(tree) for leaf in _leaves(item, f"{where}[{i}]")]
+    return [(where, tree)]
+
+
+def _change(name: str, old: str, new: str) -> str:
+    """How a regenerated file differs from the one it replaces."""
+    if old == new:
+        return "unchanged"
+    before, after = _leaves(_parse(name, old)), _leaves(_parse(name, new))
+    if [p for p, _ in before] != [p for p, _ in after] or any(
+            x != y for (_, x), (_, y) in zip(before, after)
+            if not (_is_number(x) and _is_number(y))):
+        return "changed beyond its numbers"
+    moved = [(x, y) for (_, x), (_, y) in zip(before, after) if x != y]
+    if not moved:
+        return "text changed, no number moved"
+    return (f"largest change {max(abs(y - x) for x, y in moved):.3g} absolute, "
+            f"{max(abs(y - x) / max(abs(x), abs(y)) for x, y in moved):.3g} relative")
+
+
+def test_regeneration_reports_the_largest_change():
+    old = '{"a": [1.0, "x"], "b": 2.0}'
+    assert _change("f.json", old, old) == "unchanged"
+    assert (_change("f.json", old, '{"a": [1.5, "x"], "b": 2.0}')
+            == "largest change 0.5 absolute, 0.333 relative")
+    assert _change("f.json", old, '{"a": [1.0, "y"], "b": 2.0}') == "changed beyond its numbers"
+    assert _change("f.csv", "1.0,x\n", "1.00,x\n") == "text changed, no number moved"
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
-            (GOLDEN / case).write_text(_answer(case, Path(tmp)))
-            print(f"wrote {GOLDEN / case}", file=sys.stderr)
+            path = GOLDEN / case
+            old = path.read_text() if path.exists() else None
+            new = _answer(case, Path(tmp))
+            path.write_text(new)
+            print(f"{path}: {'new' if old is None else _change(case, old, new)}",
+                  file=sys.stderr)

@@ -146,10 +146,9 @@ def test_exact_coefficients_equal_k_gives_zero_b():
 
 
 def test_exact_coefficients_zero_momentum():
-    co = exact_packet_coefficients(MomentumPoint(0.0, 0.0, 0.0), K_FREE, f=1.0)
+    co = exact_packet_coefficients(MomentumPoint(0.0, 0.0, 0.0), K_FREE)
     assert co.a == pytest.approx(1.0)
     assert co.c == 0.0 and co.d == 0.0
-    assert co.gamma == pytest.approx(1.0)
 
 
 def test_exact_coefficients_degenerate_denominator():
@@ -161,7 +160,7 @@ def test_exact_coefficients_degenerate_denominator():
 def test_exact_coefficients_small_b_bound():
     k = KFactors(k1=0.49975, k2=0.50025)
     p = MomentumPoint(0.1, 0.0, 0.0)  # pi_z = 0.1, pi_pm = 0
-    co = exact_packet_coefficients(p, k, f=1.0)
+    co = exact_packet_coefficients(p, k)
     assert abs(co.b) <= 1e-4
 
 
@@ -169,8 +168,8 @@ def test_exact_coefficients_rough_limit():
     """With K1 = K2 = K the exact weights reduce to the packet's spinors on the grid.
 
     At zero field the exact a, c and d are the pos_up upper, neg_up and
-    neg_down amplitudes of :func:`_drift_spinors` over 1 + K^2 pi^2, and b
-    vanishes.
+    neg_down amplitudes of :func:`_drift_spinors` over (1 + K^2 pi^2) times the
+    profile value g(pi), and b vanishes.
     """
     params = DimensionlessParams(epsilon=0.0, r0_over_lambda=100.0)
     g = GaussianProfile.for_packet_width(params.r0_over_lambda)
@@ -179,8 +178,8 @@ def test_exact_coefficients_rough_limit():
     c = _spinors_at(params, phi)
     for node in ((20, 17), (48, 40), (70, 5)):
         p = MomentumPoint(pi_m[node], th_m[node], phi)
-        co = exact_packet_coefficients(p, k_factors(params), f=g.value(p.pi))
-        denom = 1.0 + 0.25 * p.pi**2
+        co = exact_packet_coefficients(p, k_factors(params))
+        denom = (1.0 + 0.25 * p.pi**2) * g.value(p.pi)
         assert co.a == pytest.approx(c[(0,) + node + (0,)].real / denom, rel=1e-12)
         assert co.b == 0.0
         assert co.c == pytest.approx(c[(1,) + node + (2,)] / denom, rel=1e-12)
