@@ -4,9 +4,9 @@ Integrates the coupled (x, pi, v, S) first-order system with a high-order
 Taylor method and dense output, solves the characteristic cubic for the
 planar rotation frequencies exactly and perturbatively, and extracts mode
 frequencies from simulated trajectories: :func:`spectral_frequencies` reads
-the signed modes off the matrix pencil of v_x + i v_y, never off the cubic, so
-the fitted frequencies check the roots rather than restate them, and reads
-samples about fitting.FIT_STEP apart (10 per trembling period), not the whole grid.
+the signed modes of v_x + i v_y off its matrix pencil and their amplitudes off
+one linear solve, never off the cubic whose roots they check, from samples
+about fitting.FIT_STEP apart (10 per trembling period), not the whole grid.
 
 A phase point is one flat vector of 28 floats: y[0:4] = x, y[4:8] = pi,
 y[8:12] = v and y[12:28] = S^{mu nu} in row-major order; a batch of runs is
@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fitting import FIT_STEP, FrequencyFit, fit_frequencies, pencil_frequencies
+from .fitting import FIT_STEP, FrequencyFit, _gated_amplitudes, _samples, pencil_frequencies
 from .units import OMEGA_ZBW, SPINS, TWO_PI, DimensionlessParams, step_count
 
 _G = np.array([1.0, -1.0, -1.0, -1.0])  # metric signature diag
@@ -371,10 +371,10 @@ def spectral_frequencies(
 
     Returns one fit per spin, in SPINS order, with freqs |omega_slow|, omega_+
     and |omega_-|, from every int(FIT_STEP / dt)-th sample (:data:`FIT_STEP`).
-    The fast pair is read off :func:`pencil_frequencies` of w = v_x + i v_y,
-    where it sits near +-2; on the real v_x the two differ only by 2|epsilon|.
-    The slow mode is refined with a constant against v_x, whose residual
-    gates the fit.  No cubic is consulted.
+    The modes of w = v_x + i v_y come from :func:`pencil_frequencies`, their
+    amplitudes from one gated least-squares solve: the two largest are the
+    signed fast pair near +-2, and the next the slow mode, NaN when the pencil
+    finds only two (at |epsilon| below about 1e-6).  No cubic is consulted.
     """
     runs = [replace(params, spin=spin) for spin in SPINS]
     traj = integrate(np.stack([make_initial_state(p) for p in runs]), params, tau_max, dt)
@@ -382,8 +382,11 @@ def spectral_frequencies(
     tau, v = traj.tau[::stride], traj.v[::stride]
     fits = []
     for k in range(len(SPINS)):
-        w = v[:, k, 1] + 1j * v[:, k, 2]
-        neg, slow, pos = np.sort(pencil_frequencies(w, stride * dt, rank=3))  # ~ -2, ~0, ~2
-        fit = fit_frequencies(tau, w.real, [abs(slow), pos, abs(neg)])
-        fits.append(replace(fit, freqs=np.array([fit.freqs[0], pos, -neg])))
+        _, w, h = _samples(tau, v[:, k, 1] + 1j * v[:, k, 2], complex)
+        omega = pencil_frequencies(w, h)
+        amps, residual_rms = _gated_amplitudes(np.exp(-1j * np.outer(tau, omega)), w, len(omega))
+        by_amp = omega[np.argsort(-amps)]
+        neg, pos = np.sort(by_amp[:2])
+        slow = abs(by_amp[2]) if len(by_amp) > 2 else math.nan
+        fits.append(FrequencyFit(freqs=np.array([slow, pos, -neg]), residual_rms=residual_rms))
     return tuple(fits)

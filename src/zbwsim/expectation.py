@@ -134,15 +134,18 @@ def extract_frequency(traj: Trajectory) -> SinusoidFit:
     s is the largest stride at most FIT_STEP / dt (at least 1) that divides
     the interval count, so the fit reads about 10 samples per trembling
     period, 1,001 of the default trajectory's 10,001, and keeps both ends of
-    the span: a stride that dropped a partial last interval could shorten
-    the span below the fit's 3 periods.  s is at most the interval count,
-    and without a positive first spacing it is 1; :func:`fit_sinusoid`'s
-    sampling checks then report the trajectory.
+    the span, which a dropped partial last interval could shorten below the
+    fit's 3 periods.  A span that thins to fewer than 8 samples (shorter than
+    7 FIT_STEP) raises ValueError.  s is at most the interval count, and 1
+    without a positive first spacing; :func:`fit_sinusoid` then reports it.
     """
     intervals = len(traj.times) - 1
     spacing = traj.times[1] - traj.times[0] if intervals > 0 else 0.0
     most = max(1, int(FIT_STEP / max(spacing, FIT_STEP / intervals))) if spacing > 0 else 1
     stride = next(s for s in range(most, 0, -1) if intervals % s == 0)
+    if stride > 1 and intervals // stride < 7:
+        raise ValueError(f"a span of {traj.times[-1] - traj.times[0]:g} thinned to FIT_STEP = "
+                         f"{FIT_STEP:.6g} gives {intervals // stride + 1}, not at least 8 samples")
     return fit_sinusoid(traj.times[::stride], traj.positions[::stride, 0])
 
 

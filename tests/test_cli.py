@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import zbwsim
-from zbwsim import cli
+from zbwsim import cli, fitting
 from zbwsim.cli import main
 from zbwsim.fitting import fit_sinusoid
 
@@ -283,6 +283,31 @@ def test_quantum_fit_keeps_a_span_just_over_three_periods(tmp_path, capsys):
                "--out", str(tmp_path / "q.csv")])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["omega"] == pytest.approx(2.02, rel=1e-12)
+
+
+def test_quantum_fit_of_a_span_too_short_to_thin_names_the_span(tmp_path, capsys):
+    """101 samples 1e-9 apart thin to 2 at FIT_STEP; the error names the span, not the array."""
+    rc = main(["quantum", "--epsilon", "-1e-3", "--t-max", "1e-7", "--dt", "1e-9", "--fit",
+               "--out", str(tmp_path / "q.csv")])
+    err = _one_error_line(capsys.readouterr().err)
+    assert (rc, err["error"]) == (2, "config")
+    assert "FIT_STEP" in err["detail"] and "span of 1e-07" in err["detail"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--epsilon", "-1e-3", "--fit", "--out", "r.json"],
+    ["quantum", "--epsilon", "-3e-3", "--spin", "down", "--charge", "positron", "--fit",
+     "--out", "q.csv"],
+])
+def test_fitted_answers_need_no_refinement(tmp_path, monkeypatch, argv):
+    """Both fitted columns are a pencil read and one linear solve; SciPy's solver never runs."""
+    def no_refinement(*args, **kwargs):
+        raise AssertionError("least_squares must not run on a package path")
+
+    monkeypatch.setattr(fitting, "least_squares", no_refinement)
+    monkeypatch.chdir(tmp_path)
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
 
 
 def test_unwritable_output_exit_code(tmp_path, capsys):
