@@ -489,16 +489,16 @@ def test_spectral_slow_mode_is_the_pencil_read_or_nan():
     A refit of the real v_x gave the slow mode to 2.2e-4 and 4.8e-4 at
     epsilon = -1e-3, and noise (5e-2 to 2.7e2 relative) at epsilon = -1e-9.
     """
-    for eps in (-1e-9, -1e-3):
+    def fits_and_roots(eps):
         p = DimensionlessParams(epsilon=eps)
-        fits = bz.spectral_frequencies(p, 1000.0, 0.02)
-        for spin, fit in zip(("up", "down"), fits):
-            roots = bz.solve_cubic_exact(bz.characteristic_cubic(replace(p, spin=spin)))
-            if eps == -1e-9:
-                assert math.isnan(fit.freqs[0]), spin
-                assert np.max(np.abs(fit.freqs[1:] - [roots.omega2, -roots.omega3])) <= 1e-12
-            else:
-                assert fit.freqs[0] == pytest.approx(abs(roots.omega1), rel=1e-5), spin
+        return [(fit, bz.solve_cubic_exact(bz.characteristic_cubic(replace(p, spin=spin))))
+                for spin, fit in zip(("up", "down"), bz.spectral_frequencies(p, 1000.0, 0.02))]
+
+    for fit, roots in fits_and_roots(-1e-9):
+        assert math.isnan(fit.freqs[0])
+        assert np.max(np.abs(fit.freqs[1:] - [roots.omega2, -roots.omega3])) <= 1e-12
+    for fit, roots in fits_and_roots(-1e-3):
+        assert fit.freqs[0] == pytest.approx(abs(roots.omega1), rel=1e-5)
 
 
 def test_fast_modes_sit_three_eighths_eps_squared_inside_the_cubic():
