@@ -19,9 +19,11 @@ pi' = e F v, and only the two e*B weights of Q depend on the field.
 blocks to order TAYLOR_ORDER by a Cauchy-product recursion, takes each
 block's length from the series' last two coefficients, and yields every
 sample it covers on the caller's grid tau = dt * arange(n + 1) from one
-matmul.  The recursion's workspace (an order-major coefficient
-buffer, the product sums and each order's operand views) is built once per
-run, so an order costs two numpy calls.  The number of blocks follows the
+matmul.  The recursion's workspace (an order-major buffer of the gathered
+coefficients, the product sums, each order's operand views and the
+coefficient array that each series call returns) is built once per run, so
+an order costs two numpy calls, a vecdot and a dot, and a block reads its
+reach off two maxima in Python floats.  The number of blocks follows the
 dynamics, not dt, and DT_MAX bounds the sampling (at least 50 samples per
 trembling period), not accuracy.
 The constant-spin reduction (:func:`integrate_reduced`) is linear and solved
@@ -49,7 +51,8 @@ BLOWUP = 1e6                            # largest |state component| an integrati
 TAYLOR_ORDER = 32                       # degree of the Taylor polynomial of each block
 TAYLOR_TOL = 1e-16                      # per-block truncation, relative to 1 + |state|
 TAYLOR_CAP = 256                        # most dt samples one block may cover
-_TINY = np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
+_INV_ORDERS = 1.0 / np.arange(TAYLOR_ORDER - 1, TAYLOR_ORDER + 1)  # exponents 1/j of the reach
 
 
 class IntegrationUnstableError(RuntimeError):
@@ -151,48 +154,49 @@ def _recursion(batch: tuple[int, ...], q: np.ndarray) -> Callable[[np.ndarray], 
     on the coefficients gathered at _IJ (I then J) in a workspace built here
     once for states of shape batch + (29,): an order-major buffer g[o] of
     shape batch + (2K,), the product sums s, and per order the operand views
-    of both calls, so each order is one matmul for the Cauchy product (g[:o+1]
-    at I against g[o::-1] at J, order moved last) into s[o], and one dot with
-    Q / (o + 1) gathered at _IJ into g[o + 1], which the order-major layout
-    keeps contiguous as dot's out requires.  The coefficients themselves come
-    from one batched matmul of s with Q / (k + 1).  series(z) refills the
-    workspace on every call.
+    of both calls, so each order is one vecdot over the order axis for the
+    Cauchy product (g[:o+1] at I against g[o::-1] at J) into s[o], and one dot
+    with Q / (o + 1) gathered at _IJ into g[o + 1], which the order-major
+    layout keeps contiguous as dot's out requires.  The coefficients come
+    from one batched matmul of s with Q / (k + 1) into a coefficient buffer
+    of the workspace: series(z) returns that buffer, and its next call
+    overwrites it.
     """
     qs = q / np.arange(1.0, TAYLOR_ORDER + 1)[:, None, None]
     qg = qs.take(_IJ, axis=-1)
     g = np.empty((TAYLOR_ORDER + 1,) + batch + (2 * _K,))
-    s = np.empty((TAYLOR_ORDER,) + batch + (_K, 1, 1))
-    orders = [(np.moveaxis(g[: o + 1, ..., :_K, None], 0, -1),   # batch + (K, 1, o + 1)
-               np.moveaxis(g[o::-1, ..., _K:, None], 0, -2),     # batch + (K, o + 1, 1)
-               s[o], s[o, ..., 0, 0], qg[o], g[o + 1]) for o in range(TAYLOR_ORDER)]
-    sums = s.reshape(TAYLOR_ORDER, -1, _K)
+    s = np.empty((TAYLOR_ORDER,) + batch + (_K,))
+    c = np.empty((TAYLOR_ORDER + 1,) + batch + (_ONE + 1,))
+    orders = [(g[: o + 1, ..., :_K], g[o::-1, ..., _K:], s[o], qg[o], g[o + 1])
+              for o in range(TAYLOR_ORDER)]
+    sums, coeffs = s.reshape(TAYLOR_ORDER, -1, _K), c[1:].reshape(TAYLOR_ORDER, -1, _ONE + 1)
 
     def series(z: np.ndarray) -> np.ndarray:
         np.take(z, _IJ, axis=-1, out=g[0])
-        for gi, gj, product, row, qo, nxt in orders:
-            np.matmul(gi, gj, out=product)
+        for gi, gj, row, qo, nxt in orders:
+            np.vecdot(gi, gj, axis=0, out=row)
             row.dot(qo, out=nxt)
-        c = np.empty((TAYLOR_ORDER + 1,) + z.shape)
         c[0] = z
-        c[1:] = (sums @ qs).reshape(c[1:].shape)
+        np.matmul(sums, qs, out=coeffs)
         return c
 
     return series
 
 
-def _block_samples(c: np.ndarray, dt: float, left: int) -> int:
+def _block_samples(c: np.ndarray, dt: float, left: int, zmax: float) -> int:
     """How many dt samples the series c covers, from 1 to min(TAYLOR_CAP, left).
 
     The block's reach follows the last two coefficients (Jorba & Zou):
-    H = min_j (TAYLOR_TOL (1 + |z|) / |c_j|)^(1/j) over j = order - 1, order.
+    H = min_j (TAYLOR_TOL (1 + |z|) / |c_j|)^(1/j) over j = order - 1, order,
+    |z| = zmax = max |c_0|.  All but the two powers run on Python floats; the
+    powers stay one numpy call, as numpy's SIMD pow need not round as math.pow.
     A reach below dt still gives one sample, which the blow-up guard checks.
     """
-    tail = np.abs(c[-2:]).reshape(2, -1).max(axis=1)
-    if not np.isfinite(tail).all():
+    tail = np.abs(c[-2:]).reshape(2, -1).max(axis=1).tolist()
+    if not all(map(math.isfinite, tail)):
         raise IntegrationUnstableError("Taylor series of the state is not finite")
-    scale = TAYLOR_TOL * (1.0 + np.abs(c[0]).max())
-    orders = np.arange(TAYLOR_ORDER - 1, TAYLOR_ORDER + 1)
-    reach = np.min((scale / np.maximum(tail, _TINY)) ** (1.0 / orders))
+    scale = TAYLOR_TOL * (1.0 + zmax)
+    reach = min((np.array([scale / max(t, _TINY) for t in tail]) ** _INV_ORDERS).tolist())
     return max(1, min(int(reach / dt), TAYLOR_CAP, left))
 
 
@@ -215,7 +219,9 @@ def integrate(
     the grid offsets are built once per call, for the whole run.  Each block
     expands z = (state, 1.0) in a Taylor series on that workspace and
     evaluates it at the m grid points it covers (:func:`_block_samples`) with
-    one matmul against their powers; the last of them starts the next.
+    one matmul against their powers; the last of them starts the next.  The
+    block's row maxima serve the blow-up guard, and the last one the next
+    block's 1 + |z| scale.
     """
     y0 = np.asarray(state0, dtype=float)
     if y0.shape[-1:] != (_ONE,):
@@ -227,16 +233,17 @@ def integrate(
     out[0] = z.ravel()
     series = _recursion(y0.shape[:-1], quadratic_form(_eb(params)))
     powers = (dt * np.arange(1, min(n, TAYLOR_CAP) + 1))[:, None] ** np.arange(TAYLOR_ORDER + 1)
-    i = 0
+    i, zmax = 0, float(np.abs(z).max())
     while i < n:
         c = series(z)
-        m = _block_samples(c, dt, n - i)
+        m = _block_samples(c, dt, n - i, zmax)
         block = out[i + 1 : i + 1 + m]
         np.matmul(powers[:m], c.reshape(TAYLOR_ORDER + 1, -1), out=block)
-        if not np.abs(block).max() <= BLOWUP:  # NaN fails the comparison too
-            ok = np.abs(block).max(axis=1) <= BLOWUP
-            raise IntegrationUnstableError(f"state blew up at tau = {tau[i + 1 + ok.argmin()]:g}")
-        z = block[-1].reshape(z.shape)
+        rows = np.abs(block).max(axis=1)
+        if not rows.max() <= BLOWUP:  # NaN fails the comparison too
+            bad = i + 1 + (rows <= BLOWUP).argmin()
+            raise IntegrationUnstableError(f"state blew up at tau = {tau[bad]:g}")
+        z, zmax = block[-1].reshape(z.shape), float(rows[-1])
         i += m
     ys = out.reshape((n + 1,) + z.shape)
     return BZTrajectory(tau=tau, x=ys[..., 0:4], pi=ys[..., 4:8], v=ys[..., 8:12],

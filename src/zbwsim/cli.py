@@ -21,6 +21,8 @@ import json
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
+from itertools import chain
 
 import numpy as np
 
@@ -88,20 +90,23 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 def _float_blocks(*columns: np.ndarray):
     """Float columns side by side, as lists of rows of Python floats, _BLOCK rows at a time."""
-    for k in range(0, len(columns[0]), _BLOCK):
-        yield np.column_stack([c[k:k + _BLOCK] for c in columns]).tolist()
+    table = np.column_stack(columns)
+    for k in range(0, len(table), _BLOCK):
+        yield table[k:k + _BLOCK].tolist()
 
 
 def _write_csv(path: str, header: list[str], fmt: str, blocks) -> None:
-    """Write the header line, then each row of each block through the %-format fmt.
+    """Write the header line, then each block of rows through the %-format fmt.
 
-    One write per block keeps a long table from being held as text all at once.
+    A block is one % of fmt repeated per row over the block's flattened values,
+    the same text as a % per row.  One write per block keeps a long table from
+    being held as text all at once.
     """
     line = fmt + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for block in blocks:
-            fh.write("".join([line % tuple(r) for r in block]))
+            fh.write((line * len(block)) % tuple(chain.from_iterable(block)))
 
 
 def _cmd_quantum(args: argparse.Namespace) -> int:
@@ -263,9 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# main's parser: built on main's first call, then reused; parse_args keeps no state in it
+_main_parser = cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _main_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # --help
         return EXIT_CONFIG if exc.code else 0

@@ -64,8 +64,10 @@ class _Canvas:
             f'font-family="sans-serif" font-size="11">{s}</text>'
         )
 
-    def polyline(self, pts: list[tuple[float, float]]) -> None:
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+    def polyline(self, px: np.ndarray, py: np.ndarray) -> None:
+        """The vertices (px[k], py[k]), formatted as _fmt does, in one % for the whole line."""
+        xy = np.column_stack((px, py)).ravel().tolist()
+        coords = " ".join(["%.6g,%.6g"] * len(px)) % tuple(xy)
         self.parts.append(
             f'<polyline points="{coords}" fill="none" stroke="#1f4e9c" stroke-width="1.2"/>'
         )
@@ -89,7 +91,7 @@ def _axes(c: _Canvas, xlo: float, xhi: float, ylo: float, yhi: float,
     px0, px1 = MARGIN, WIDTH - MARGIN // 2
     py0, py1 = HEIGHT - MARGIN, MARGIN // 2 + 16
 
-    def to_px(x: float, y: float) -> tuple[float, float]:
+    def to_px(x, y):  # floats, or float arrays elementwise
         fx = (x - xlo) / (xhi - xlo)
         fy = (y - ylo) / (yhi - ylo)
         return px0 + fx * (px1 - px0), py0 + fy * (py1 - py0)
@@ -115,7 +117,7 @@ def _line_plot(title: str, x: np.ndarray, y: np.ndarray, xlo: float, xhi: float,
     c = _Canvas(title)
     to_px = _axes(c, xlo, xhi, ylo, yhi, _ticks(xlo, xhi), xlabel, ylabel)
     stride = max(1, len(x) // 2000)
-    c.polyline([to_px(float(a), float(b)) for a, b in zip(x[::stride], y[::stride])])
+    c.polyline(*to_px(x[::stride], y[::stride]))
     return c.render()
 
 

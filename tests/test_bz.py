@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zbwsim import bz, symmetry
 from zbwsim.units import DimensionlessParams
@@ -257,6 +259,110 @@ def test_integration_blowup_guard():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(bz.IntegrationUnstableError, match="blew up"):
                 bz.integrate(bad, params, 50.0, 0.01)
+
+
+class _RecordingDt(float):
+    """A dt that records x in every x / dt: _block_samples' reach, exactly as it divides."""
+
+    def __rtruediv__(self, other):
+        self.seen.append(other)
+        return float(other) / float(self)
+
+
+def _reach_reference(c):
+    """The block reach as one numpy formula over the last two coefficients."""
+    tail = np.abs(c[-2:]).reshape(2, -1).max(axis=1)
+    scale = bz.TAYLOR_TOL * (1.0 + np.abs(c[0]).max())
+    orders = np.arange(bz.TAYLOR_ORDER - 1, bz.TAYLOR_ORDER + 1)
+    return np.min((scale / np.maximum(tail, bz._TINY)) ** (1.0 / orders))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["decaying", "zero", "one_zero", "blowup"]),
+       st.sampled_from([(), (2,)]), st.floats(1e-4, 0.07), st.integers(1, 1000))
+def test_block_reach_matches_the_numpy_formula_bit_for_bit(seed, tail, batch, dt, left):
+    """The reach, read where _block_samples divides it by dt, equals the one-formula numpy
+    reach in every bit, on decaying series, zero tails (the _TINY floor) and tails near BLOWUP."""
+    rng = np.random.default_rng(seed)
+    shape = (bz.TAYLOR_ORDER + 1,) + batch + (29,)
+    radius = 10.0 ** rng.uniform(-3.0, 1.0)
+    powers = radius ** -np.arange(bz.TAYLOR_ORDER + 1.0)
+    c = rng.standard_normal(shape) * powers.reshape((-1,) + (1,) * (len(shape) - 1))
+    c[0] *= 10.0 ** rng.uniform(-2.0, 6.0)
+    if tail == "zero":
+        c[-2:] = 0.0
+    elif tail == "one_zero":
+        c[rng.integers(-2, 0)] = 0.0
+    elif tail == "blowup":
+        c[-2:] *= bz.BLOWUP * rng.uniform(0.5, 1.0) / np.abs(c[-2:]).max()
+    recording = _RecordingDt(dt)
+    recording.seen = []
+    m = bz._block_samples(c, recording, left, float(np.abs(c[0]).max()))
+    reach = _reach_reference(c)
+    assert recording.seen == [reach]
+    assert m == max(1, min(int(reach / dt), bz.TAYLOR_CAP, left))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("order", [-2, -1])
+def test_non_finite_tail_raises(value, order):
+    c = np.ones((bz.TAYLOR_ORDER + 1, 2, 29))
+    c[order, 1, 7] = value
+    with pytest.raises(bz.IntegrationUnstableError, match="not finite"):
+        bz._block_samples(c, 0.01, 100, 1.0)
+
+
+@st.composite
+def _integration_case(draw):
+    """A start (one run or a batch of two) at a random size, a field, a span and a step,
+    sometimes with one value swapped for a special float."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eps = draw(st.floats(-0.0999, 0.0))
+    if draw(st.booleans()):
+        spin = draw(st.sampled_from(["up", "down"]))
+        y0 = bz.make_initial_state(DimensionlessParams(epsilon=eps, spin=spin))
+    else:
+        y0 = rng.standard_normal(draw(st.sampled_from([(28,), (2, 28)])))
+        y0 *= draw(st.sampled_from([0.0, 1e-3, 1.0, 30.0, bz.BLOWUP]))
+    tau, dt = draw(st.floats(0.0, 5.0)), draw(st.floats(1e-3, 0.07))
+    if draw(st.booleans()):  # spans stay at most 5 / 1e-3 samples
+        which = draw(st.sampled_from(["start", "tau", "dt"]))
+        if which == "start":
+            y0 = np.array(y0)
+            y0.flat[rng.integers(y0.size)] = draw(st.sampled_from(
+                [math.nan, math.inf, -math.inf, bz.BLOWUP, 2 * bz.BLOWUP]))
+        elif which == "tau":
+            tau = draw(st.sampled_from([math.nan, math.inf, -1.0, 0.0]))
+        else:
+            dt = draw(st.sampled_from([math.nan, math.inf, 0.0, -1.0, 1.0]))
+    return y0, eps, tau, dt
+
+
+def _start(k=None, value=None):
+    """The epsilon = -1e-3 spin-up start, with y0[k] set to value if k is given."""
+    y0 = bz.make_initial_state(DimensionlessParams(epsilon=-1e-3))
+    if k is not None:
+        y0[k] = value
+    return y0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_integration_case())
+@example((_start(9, math.nan), -1e-3, 2.0, 0.01))
+@example((_start(9, bz.BLOWUP), -1e-3, 2.0, 0.01))
+@example((bz.make_initial_state(DimensionlessParams(epsilon=-0.0999)), -0.0999, 5.0, 0.02))
+@example((_start(), -1e-3, 0.01, 0.01))
+def test_integrate_returns_finite_arrays_or_raises(case):
+    """Every call either returns a finite trajectory or raises one of the numerical
+    or configuration errors that cli.main maps to an exit code."""
+    y0, eps, tau, dt = case
+    try:
+        traj = bz.integrate(y0, DimensionlessParams(epsilon=eps), tau, dt)
+    except (ValueError, bz.IntegrationUnstableError, OverflowError):
+        return
+    for a in (traj.tau, traj.x, traj.pi, traj.v, traj.S):
+        assert np.isfinite(a).all()
+    assert len(traj.tau) == round(tau / dt) + 1 and traj.x.shape[1:-1] == np.shape(y0)[:-1]
 
 
 def test_non_finite_series_raises(monkeypatch):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import zbwsim
-from zbwsim import cli, fitting
+from zbwsim import cli, fitting, svgplot
 from zbwsim.cli import main
 from zbwsim.fitting import fit_sinusoid
 
@@ -82,6 +83,93 @@ def test_csv_rows_match_per_value_format(tmp_path):
     header = ["epsilon", "charge", "spin", "approach", "delta_omega", "cp_verdict"]
     cli._write_csv(out, header, f"{cli._FLOAT},%s,%s,%s,{cli._FLOAT},%s", [rows])
     assert out.read_text() == _per_value_csv(header, rows)
+
+
+_CSV_SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def _csv_table(draw):
+    """A float table of about _BLOCK rows, with special values and arbitrary doubles
+    dropped into random cells."""
+    n = draw(st.sampled_from([0, 1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1,
+                              2 * cli._BLOCK + 3]))
+    width = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-320, 300, (n, width))
+    values = draw(st.lists(st.sampled_from(_CSV_SPECIAL) | st.floats(), max_size=24))
+    for v in values if n else []:
+        table.flat[rng.integers(table.size)] = v
+    return table
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_csv_table(), st.lists(st.tuples(st.sampled_from(_CSV_SPECIAL) | st.floats(),
+                                        st.sampled_from(["electron", "positron"]),
+                                        st.sampled_from(["up", "down"]),
+                                        st.sampled_from(["quantum", "classical_exact"]),
+                                        st.sampled_from(_CSV_SPECIAL) | st.floats(),
+                                        st.sampled_from(["cp_respected", "cp_violated"])),
+                              max_size=cli._BLOCK + 2))
+def test_csv_blocks_match_a_format_per_row(table, rows):
+    """One % per block writes what one % per row writes, for float and mixed sweep rows."""
+    def reference(header, line, rows):
+        return ",".join(header) + "\n" + "".join(line % tuple(r) for r in rows)
+
+    with tempfile.TemporaryDirectory() as d:
+        out = Path(d) / "t.csv"
+        header = [f"c{k}" for k in range(table.shape[1])]
+        fmt = ",".join([cli._FLOAT] * table.shape[1])
+        cli._write_csv(out, header, fmt, cli._float_blocks(table[:, 0], table[:, 1:]))
+        assert out.read_text() == reference(header, fmt + "\n", table.tolist())
+        header = ["epsilon", "charge", "spin", "approach", "delta_omega", "cp_verdict"]
+        fmt = f"{cli._FLOAT},%s,%s,%s,{cli._FLOAT},%s"
+        cli._write_csv(out, header, fmt, [rows])
+        assert out.read_text() == reference(header, fmt + "\n", rows)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 2 * 2000 + 1), st.integers(0, 2**32 - 1), st.booleans())
+@example(1, 0, False)     # a single sample: both spans widen
+@example(40, 1, True)     # a constant series: the y span widens
+@example(2001, 2, False)  # just above the vertex cap: stride 1
+@example(4001, 3, False)  # stride 2
+def test_polyline_matches_a_format_per_vertex(n, seed, constant):
+    """The polyline's points are to_px of each strided sample through _fmt, one at a time."""
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.random(n)) - rng.random()
+    y = np.full(n, -0.3) if constant else rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5)
+    limits = (float(x[0]), float(x[-1]), float(y.min()), float(y.max()))
+    svg = svgplot._line_plot("t", x, y, *limits, "tau", "v_x")
+    to_px = svgplot._axes(svgplot._Canvas("t"), *limits, svgplot._ticks(*limits[:2]), "tau", "v_x")
+    stride = max(1, n // 2000)
+    pts = [to_px(float(a), float(b)) for a, b in zip(x[::stride], y[::stride])]
+    want = " ".join(f"{svgplot._fmt(px)},{svgplot._fmt(py)}" for px, py in pts)
+    assert re.search(r'<polyline points="([^"]*)"', svg).group(1) == want
+
+
+def test_main_reuses_its_parser_without_carrying_options(tmp_path, capsys):
+    """One process, one parser for main: no call sees a flag of the call before it."""
+    quantum = ["quantum", "--epsilon", "-1e-3", "--t-max", "31.4", "--dt", "0.0314",
+               "--out", str(tmp_path / "q.csv")]
+    assert main([*quantum, "--fit"]) == 0
+    assert "omega" in json.loads(capsys.readouterr().out)
+    assert main(quantum) == 0
+    assert capsys.readouterr().out == ""
+    report = tmp_path / "r.json"
+    assert main(["compare", "--epsilon", "-1e-3", "--fit", "--out", str(report)]) == 0
+    assert "fitted" in json.loads(_read(report))
+    assert main(["compare", "--epsilon", "-1e-3", "--out", str(report)]) == 0
+    assert "fitted" not in json.loads(_read(report))
+    sweep = tmp_path / "s.csv"
+    for eps in ("-1e-3", "-2e-3"):
+        assert main(["sweep", "--epsilons", eps, "--out", str(sweep)]) == 0
+    assert {row.split(",")[0] for row in _read(sweep).splitlines()[1:]} == {"-0.002"}
+    assert main(["sweep", "--out", str(sweep)]) == 2  # --epsilons is required
+    assert _one_error_line(capsys.readouterr().err)["error"] == "config"
+    assert main(["roots", "--epsilon", "-1e-3"]) == 0
+    assert capsys.readouterr().err == ""
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_quantum_csv_free_case(tmp_path):
