@@ -183,19 +183,20 @@ def _recursion(batch: tuple[int, ...], q: np.ndarray) -> Callable[[np.ndarray], 
     return series
 
 
-def _block_samples(c: np.ndarray, dt: float, left: int, zmax: float) -> int:
+def _block_samples(c: np.ndarray, dt: float, left: int) -> int:
     """How many dt samples the series c covers, from 1 to min(TAYLOR_CAP, left).
 
     The block's reach follows the last two coefficients (Jorba & Zou):
-    H = min_j (TAYLOR_TOL (1 + |z|) / |c_j|)^(1/j) over j = order - 1, order,
-    |z| = zmax = max |c_0|.  All but the two powers run on Python floats; the
-    powers stay one numpy call, as numpy's SIMD pow need not round as math.pow.
+    H = min_j (TAYLOR_TOL (1 + |z|) / |c_j|)^(1/j) over j = order - 1, order.
+    The two maxima are read once as Python floats for the finiteness check and
+    the _TINY floor; the two powers stay one numpy call, as numpy's SIMD pow
+    need not round as math.pow.
     A reach below dt still gives one sample, which the blow-up guard checks.
     """
     tail = np.abs(c[-2:]).reshape(2, -1).max(axis=1).tolist()
     if not all(map(math.isfinite, tail)):
         raise IntegrationUnstableError("Taylor series of the state is not finite")
-    scale = TAYLOR_TOL * (1.0 + zmax)
+    scale = TAYLOR_TOL * (1.0 + np.abs(c[0]).max())
     reach = min((np.array([scale / max(t, _TINY) for t in tail]) ** _INV_ORDERS).tolist())
     return max(1, min(int(reach / dt), TAYLOR_CAP, left))
 
@@ -219,9 +220,7 @@ def integrate(
     the grid offsets are built once per call, for the whole run.  Each block
     expands z = (state, 1.0) in a Taylor series on that workspace and
     evaluates it at the m grid points it covers (:func:`_block_samples`) with
-    one matmul against their powers; the last of them starts the next.  The
-    block's row maxima serve the blow-up guard, and the last one the next
-    block's 1 + |z| scale.
+    one matmul against their powers; the last of them starts the next.
     """
     y0 = np.asarray(state0, dtype=float)
     if y0.shape[-1:] != (_ONE,):
@@ -233,17 +232,16 @@ def integrate(
     out[0] = z.ravel()
     series = _recursion(y0.shape[:-1], quadratic_form(_eb(params)))
     powers = (dt * np.arange(1, min(n, TAYLOR_CAP) + 1))[:, None] ** np.arange(TAYLOR_ORDER + 1)
-    i, zmax = 0, float(np.abs(z).max())
+    i = 0
     while i < n:
         c = series(z)
-        m = _block_samples(c, dt, n - i, zmax)
+        m = _block_samples(c, dt, n - i)
         block = out[i + 1 : i + 1 + m]
         np.matmul(powers[:m], c.reshape(TAYLOR_ORDER + 1, -1), out=block)
-        rows = np.abs(block).max(axis=1)
-        if not rows.max() <= BLOWUP:  # NaN fails the comparison too
-            bad = i + 1 + (rows <= BLOWUP).argmin()
-            raise IntegrationUnstableError(f"state blew up at tau = {tau[bad]:g}")
-        z, zmax = block[-1].reshape(z.shape), float(rows[-1])
+        if not np.abs(block).max() <= BLOWUP:  # NaN fails the comparison too
+            ok = np.abs(block).max(axis=1) <= BLOWUP
+            raise IntegrationUnstableError(f"state blew up at tau = {tau[i + 1 + ok.argmin()]:g}")
+        z = block[-1].reshape(z.shape)
         i += m
     ys = out.reshape((n + 1,) + z.shape)
     return BZTrajectory(tau=tau, x=ys[..., 0:4], pi=ys[..., 4:8], v=ys[..., 8:12],

@@ -21,7 +21,6 @@ import json
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -90,9 +89,8 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 def _float_blocks(*columns: np.ndarray):
     """Float columns side by side, as lists of rows of Python floats, _BLOCK rows at a time."""
-    table = np.column_stack(columns)
-    for k in range(0, len(table), _BLOCK):
-        yield table[k:k + _BLOCK].tolist()
+    for k in range(0, len(columns[0]), _BLOCK):
+        yield np.column_stack([c[k:k + _BLOCK] for c in columns]).tolist()
 
 
 def _write_csv(path: str, header: list[str], fmt: str, blocks) -> None:
@@ -268,13 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# main's parser: built on main's first call, then reused; parse_args keeps no state in it
-_main_parser = cache(build_parser)
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _main_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # --help
         return EXIT_CONFIG if exc.code else 0

@@ -297,7 +297,7 @@ def test_block_reach_matches_the_numpy_formula_bit_for_bit(seed, tail, batch, dt
         c[-2:] *= bz.BLOWUP * rng.uniform(0.5, 1.0) / np.abs(c[-2:]).max()
     recording = _RecordingDt(dt)
     recording.seen = []
-    m = bz._block_samples(c, recording, left, float(np.abs(c[0]).max()))
+    m = bz._block_samples(c, recording, left)
     reach = _reach_reference(c)
     assert recording.seen == [reach]
     assert m == max(1, min(int(reach / dt), bz.TAYLOR_CAP, left))
@@ -309,7 +309,7 @@ def test_non_finite_tail_raises(value, order):
     c = np.ones((bz.TAYLOR_ORDER + 1, 2, 29))
     c[order, 1, 7] = value
     with pytest.raises(bz.IntegrationUnstableError, match="not finite"):
-        bz._block_samples(c, 0.01, 100, 1.0)
+        bz._block_samples(c, 0.01, 100)
 
 
 @st.composite

@@ -148,30 +148,6 @@ def test_polyline_matches_a_format_per_vertex(n, seed, constant):
     assert re.search(r'<polyline points="([^"]*)"', svg).group(1) == want
 
 
-def test_main_reuses_its_parser_without_carrying_options(tmp_path, capsys):
-    """One process, one parser for main: no call sees a flag of the call before it."""
-    quantum = ["quantum", "--epsilon", "-1e-3", "--t-max", "31.4", "--dt", "0.0314",
-               "--out", str(tmp_path / "q.csv")]
-    assert main([*quantum, "--fit"]) == 0
-    assert "omega" in json.loads(capsys.readouterr().out)
-    assert main(quantum) == 0
-    assert capsys.readouterr().out == ""
-    report = tmp_path / "r.json"
-    assert main(["compare", "--epsilon", "-1e-3", "--fit", "--out", str(report)]) == 0
-    assert "fitted" in json.loads(_read(report))
-    assert main(["compare", "--epsilon", "-1e-3", "--out", str(report)]) == 0
-    assert "fitted" not in json.loads(_read(report))
-    sweep = tmp_path / "s.csv"
-    for eps in ("-1e-3", "-2e-3"):
-        assert main(["sweep", "--epsilons", eps, "--out", str(sweep)]) == 0
-    assert {row.split(",")[0] for row in _read(sweep).splitlines()[1:]} == {"-0.002"}
-    assert main(["sweep", "--out", str(sweep)]) == 2  # --epsilons is required
-    assert _one_error_line(capsys.readouterr().err)["error"] == "config"
-    assert main(["roots", "--epsilon", "-1e-3"]) == 0
-    assert capsys.readouterr().err == ""
-    assert cli.build_parser() is not cli.build_parser()
-
-
 def test_quantum_csv_free_case(tmp_path):
     out = tmp_path / "t.csv"
     rc = main(["quantum", "--spin", "up", "--charge", "electron", "--epsilon", "0",
