@@ -3,10 +3,9 @@
 Integrates the coupled (x, pi, v, S) first-order system with a high-order
 Taylor method and dense output, solves the characteristic cubic for the
 planar rotation frequencies exactly and perturbatively, and extracts mode
-frequencies from simulated trajectories: :func:`spectral_frequencies` reads
-the signed modes of v_x + i v_y off its matrix pencil and their amplitudes off
-one linear solve, never off the cubic whose roots they check, from samples
-about fitting.FIT_STEP apart (10 per trembling period), not the whole grid.
+frequencies from simulated trajectories: :func:`spectral_frequencies` hands
+v_x + i v_y to :func:`zbwsim.fitting.read_modes`, which thins it and reads its
+signed modes off the data, never off the cubic whose roots they check.
 
 A phase point is one flat vector of 28 floats: y[0:4] = x, y[4:8] = pi,
 y[8:12] = v and y[12:28] = S^{mu nu} in row-major order; a batch of runs is
@@ -16,16 +15,13 @@ slots, computed as the first coefficient of :func:`_recursion`'s series: the
 products S pi and pi v give v' and S', the products v * 1 give x' = v and
 pi' = e F v, and only the two e*B weights of Q depend on the field.
 :func:`integrate` (any leading batch shape) expands the state in Taylor
-blocks to order TAYLOR_ORDER by a Cauchy-product recursion, takes each
-block's length from the series' last two coefficients, and yields every
-sample it covers on the caller's grid tau = dt * arange(n + 1) from one
-matmul.  The recursion's workspace (an order-major buffer of the gathered
-coefficients, the product sums, each order's operand views and the
-coefficient array that each series call returns) is built once per run, so
-an order costs two numpy calls, a vecdot and a dot, and a block reads its
-reach off two maxima in Python floats.  The number of blocks follows the
-dynamics, not dt, and DT_MAX bounds the sampling (at least 50 samples per
-trembling period), not accuracy.
+blocks to order TAYLOR_ORDER by a Cauchy-product recursion on a workspace
+built once per run (:func:`_recursion`: an order costs a vecdot and a dot),
+takes each block's length from the series' last two coefficients, and
+yields every sample it covers on the caller's grid tau = dt * arange(n + 1)
+from one matmul.  The number of blocks follows the dynamics, not dt, and
+DT_MAX bounds the sampling (at least 50 samples per trembling period), not
+accuracy.
 The constant-spin reduction (:func:`integrate_reduced`) is linear and solved
 exactly, as three modes over the characteristic cubic's roots.
 
@@ -42,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fitting import FIT_STEP, FrequencyFit, _gated_amplitudes, _samples, pencil_frequencies
+from .fitting import FrequencyFit, read_modes
 from .units import OMEGA_ZBW, SPINS, TWO_PI, DimensionlessParams, step_count
 
 _G = np.array([1.0, -1.0, -1.0, -1.0])  # metric signature diag
@@ -374,24 +370,10 @@ def spectral_frequencies(
 ) -> tuple[FrequencyFit, ...]:
     """Integrate both spins' field runs in one batch and read each one's three modes.
 
-    Returns one fit per spin, in SPINS order, with freqs |omega_slow|, omega_+
-    and |omega_-|, from every int(FIT_STEP / dt)-th sample (:data:`FIT_STEP`).
-    The modes of w = v_x + i v_y come from :func:`pencil_frequencies`, their
-    amplitudes from one gated least-squares solve: the two largest are the
-    signed fast pair near +-2, and the next the slow mode, NaN when the pencil
-    finds only two (at |epsilon| below about 1e-6).  No cubic is consulted.
+    One :func:`zbwsim.fitting.read_modes` fit of w = v_x + i v_y per spin, in
+    SPINS order; no cubic is consulted.
     """
     runs = [replace(params, spin=spin) for spin in SPINS]
     traj = integrate(np.stack([make_initial_state(p) for p in runs]), params, tau_max, dt)
-    stride = max(1, int(FIT_STEP / dt))
-    tau, v = traj.tau[::stride], traj.v[::stride]
-    fits = []
-    for k in range(len(SPINS)):
-        _, w, h = _samples(tau, v[:, k, 1] + 1j * v[:, k, 2], complex)
-        omega = pencil_frequencies(w, h)
-        amps, residual_rms = _gated_amplitudes(np.exp(-1j * np.outer(tau, omega)), w, len(omega))
-        by_amp = omega[np.argsort(-amps)]
-        neg, pos = np.sort(by_amp[:2])
-        slow = abs(by_amp[2]) if len(by_amp) > 2 else math.nan
-        fits.append(FrequencyFit(freqs=np.array([slow, pos, -neg]), residual_rms=residual_rms))
-    return tuple(fits)
+    return tuple(read_modes(traj.tau, traj.v[:, k, 1] + 1j * traj.v[:, k, 2])
+                 for k in range(len(SPINS)))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import FIT_STEP, SinusoidFit, fit_sinusoid
+from .fitting import SinusoidFit, read_tone
 from .packet import K, GaussianProfile, packet_norm_constant
 from .units import (LAMBDA_C, OMEGA_ZBW, TWO_PI, DimensionlessParams, cyclotron_frequency,
                     step_count)
@@ -129,24 +129,8 @@ def quantum_trajectory(params: DimensionlessParams, t_max: float | None = None,
 
 
 def extract_frequency(traj: Trajectory) -> SinusoidFit:
-    """Single-sinusoid fit of the trajectory's x component on every s-th sample.
-
-    s is the largest stride at most FIT_STEP / dt (at least 1) that divides
-    the interval count, so the fit reads about 10 samples per trembling
-    period, 1,001 of the default trajectory's 10,001, and keeps both ends of
-    the span, which a dropped partial last interval could shorten below the
-    fit's 3 periods.  A span that thins to fewer than 8 samples (shorter than
-    7 FIT_STEP) raises ValueError.  s is at most the interval count, and 1
-    without a positive first spacing; :func:`fit_sinusoid` then reports it.
-    """
-    intervals = len(traj.times) - 1
-    spacing = traj.times[1] - traj.times[0] if intervals > 0 else 0.0
-    most = max(1, int(FIT_STEP / max(spacing, FIT_STEP / intervals))) if spacing > 0 else 1
-    stride = next(s for s in range(most, 0, -1) if intervals % s == 0)
-    if stride > 1 and intervals // stride < 7:
-        raise ValueError(f"a span of {traj.times[-1] - traj.times[0]:g} thinned to FIT_STEP = "
-                         f"{FIT_STEP:.6g} gives {intervals // stride + 1}, not at least 8 samples")
-    return fit_sinusoid(traj.times[::stride], traj.positions[::stride, 0])
+    """The x component's single tone, read by :func:`zbwsim.fitting.read_tone`."""
+    return read_tone(traj.times, traj.positions[:, 0])
 
 
 def magnetic_moment_expectation(params: DimensionlessParams, t: float | np.ndarray) -> np.ndarray:

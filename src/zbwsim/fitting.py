@@ -1,14 +1,14 @@
-"""Sinusoid frequency estimation: a matrix-pencil read, then one linear solve.
+"""Trajectory reading: thinning, a matrix-pencil read, then one linear solve.
 
 :func:`pencil_frequencies` reads the modes of a series off the shift
 invariance of its Hankel matrix (Hua & Sarkar, IEEE Trans. ASSP 38 (1990)
-814), from the data alone, far below the DFT bin width.  The readers solve
+814), from the data alone, far below the DFT bin width.  The fitters solve
 the amplitudes linearly at its frequencies and gate the residual; only
 :func:`fit_frequencies` refines the frequencies, by variable projection.
-
-FIT_STEP is the spacing that :func:`zbwsim.bz.spectral_frequencies` and
-:func:`zbwsim.expectation.extract_frequency` thin a trajectory to before
-fitting, 10 samples per trembling period; the fitters read what they are given.
+Every trajectory is read here: :func:`read_modes` (classical, for
+:func:`zbwsim.bz.spectral_frequencies`) and :func:`read_tone` (quantum, for
+:func:`zbwsim.expectation.extract_frequency`) thin a series to about FIT_STEP,
+10 samples per trembling period; the fitters fit exactly what they are given.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ RESIDUAL_TOL = 0.01  # largest RMS residual accepted, as a fraction of the large
                      # amplitude and of the RMS of the centred data
 PENCIL_WINDOW = 12   # Hankel window of pencil_frequencies, samples past the first
 PENCIL_RTOL = 1e-9   # singular values above this times the largest count as modes
-FIT_STEP = math.pi / 10.0  # sample spacing the fit paths read: 10 per trembling period
+FIT_STEP = math.pi / 10.0  # spacing the readers thin a series to: 10 per trembling period
 
 
 class FitFailureError(RuntimeError):
@@ -147,6 +147,51 @@ def fit_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
         raise ValueError(f"span shorter than 3 periods of {period:g}")
     amps, residual_rms = _gated_amplitudes(_design([w0], t, 0), y, 1)
     return SinusoidFit(omega=w0, amplitude=float(amps[0]), residual_rms=residual_rms)
+
+
+def _spacing(times, values) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Times and values, at least 1-D; for matching 1-D series the interval count and t1 - t0."""
+    t, y = np.atleast_1d(np.asarray(times, dtype=float), values)
+    intervals = len(t) - 1 if t.ndim == 1 and t.shape == y.shape else 0
+    return t, y, intervals, float(t[1] - t[0]) if intervals > 0 else 0.0
+
+
+def read_modes(times: np.ndarray, values: np.ndarray) -> FrequencyFit:
+    """|omega_slow|, omega_+ and |omega_-| of a complex series w on every s-th sample.
+
+    s = int(FIT_STEP / (times[1] - times[0])) (1 to the sample count) need not
+    divide the interval count: read_tone's divisor rule gives stride 3 on the
+    grid dt = 0.015, tau = 4000 (88,890 samples, 7x the time, a NaN slow mode).
+    Of the pencil's modes, the two of largest amplitude (one gated solve) are
+    the signed fast pair, else FitFailureError; the next is the slow mode or NaN.
+    """
+    t, w, _, spacing = _spacing(times, values)
+    stride = max(1, int(min(FIT_STEP / spacing, len(t)))) if spacing > 0 else 1
+    t, w, h = _samples(t[::stride], w[::stride], complex)
+    omega = pencil_frequencies(w, h)
+    amps, residual_rms = _gated_amplitudes(np.exp(-1j * np.outer(t, omega)), w, len(omega))
+    if len(omega) < 2:
+        raise FitFailureError(f"the pencil found {len(omega)} mode, not a fast pair")
+    by_amp = omega[np.argsort(-amps)]
+    neg, pos = np.sort(by_amp[:2])
+    slow = abs(by_amp[2]) if len(by_amp) > 2 else math.nan
+    return FrequencyFit(freqs=np.array([slow, pos, -neg]), residual_rms=residual_rms)
+
+
+def read_tone(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
+    """:func:`fit_sinusoid` on every s-th sample, s dividing the interval count.
+
+    s is the largest such stride at most FIT_STEP / (times[1] - times[0]), at
+    least 1, so both ends stay and the span keeps its 3 periods.  A span that
+    thins to fewer than 8 samples raises ValueError naming it and FIT_STEP.
+    """
+    t, y, intervals, spacing = _spacing(times, values)
+    most = max(1, int(FIT_STEP / max(spacing, FIT_STEP / intervals))) if spacing > 0 else 1
+    stride = next(s for s in range(most, 0, -1) if intervals % s == 0)
+    if stride > 1 and intervals // stride < 7:
+        raise ValueError(f"a span of {t[-1] - t[0]:g} thinned to FIT_STEP = {FIT_STEP:.6g} "
+                         f"gives {intervals // stride + 1}, not at least 8 samples")
+    return fit_sinusoid(t[::stride], y[::stride])
 
 
 def fit_frequencies(times: np.ndarray, values: np.ndarray, freq_seeds: np.ndarray,

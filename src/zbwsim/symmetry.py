@@ -140,12 +140,9 @@ def fitted_classical_table(
 ) -> ShiftTable:
     """Classical shift table from spectral fits of integrated trajectories.
 
-    One batched integration of the two field runs (spin up, spin down) on
-    the dt grid is needed: each run's fitted fast pair, signed (+, -), gives
-    its particle and antiparticle cells by the cubic tables' rule.  The fits
-    (:func:`spectral_frequencies`) take their seeds from the trajectory
-    alone, never from the cubic whose roots the table is checked against,
-    and read the fast pair off the complex v_x + i v_y at every epsilon.
+    Each field run's fast pair (:func:`spectral_frequencies`, one batched
+    integration), signed (+, -), gives its particle and antiparticle cells by
+    the cubic tables' rule; the cubic itself is never read.
     """
     fits = dict(zip(SPINS, spectral_frequencies(params, tau_max=tau_max, dt=dt)))
     return _table("classical_accurate", params, lambda p: _fast_mode_shift(
@@ -186,16 +183,8 @@ def discrepancy_report(
             rel = abs(q - c) / abs(q)
         else:
             rel = 0.0 if c == 0.0 else float("inf")
-        rows.append(
-            {
-                "charge": charge,
-                "spin": spin,
-                "quantum_shift": q,
-                "classical_shift": c,
-                "absolute_disagreement": abs(q - c),
-                "relative_disagreement": rel,
-            }
-        )
+        rows.append({"charge": charge, "spin": spin, "quantum_shift": q, "classical_shift": c,
+                     "absolute_disagreement": abs(q - c), "relative_disagreement": rel})
     classical_cp = cp_check(classical)
     out = {
         "epsilon": params.epsilon,

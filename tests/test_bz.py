@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zbwsim import bz, symmetry
+from zbwsim.fitting import FitFailureError
 from zbwsim.units import DimensionlessParams
 
 G = np.array([1.0, -1.0, -1.0, -1.0])
@@ -313,16 +314,16 @@ def test_non_finite_tail_raises(value, order):
 
 
 @st.composite
-def _integration_case(draw):
-    """A start (one run or a batch of two) at a random size, a field, a span and a step,
-    sometimes with one value swapped for a special float."""
+def _integration_case(draw, start=bz.make_initial_state, shapes=((28,), (2, 28))):
+    """A start (the model's, or a random one of one of the shapes) at a random size, a field,
+    a span and a step, sometimes with one value swapped for a special float."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     eps = draw(st.floats(-0.0999, 0.0))
     if draw(st.booleans()):
         spin = draw(st.sampled_from(["up", "down"]))
-        y0 = bz.make_initial_state(DimensionlessParams(epsilon=eps, spin=spin))
+        y0 = start(DimensionlessParams(epsilon=eps, spin=spin))
     else:
-        y0 = rng.standard_normal(draw(st.sampled_from([(28,), (2, 28)])))
+        y0 = rng.standard_normal(draw(st.sampled_from(shapes)))
         y0 *= draw(st.sampled_from([0.0, 1e-3, 1.0, 30.0, bz.BLOWUP]))
     tau, dt = draw(st.floats(0.0, 5.0)), draw(st.floats(1e-3, 0.07))
     if draw(st.booleans()):  # spans stay at most 5 / 1e-3 samples
@@ -363,6 +364,61 @@ def test_integrate_returns_finite_arrays_or_raises(case):
     for a in (traj.tau, traj.x, traj.pi, traj.v, traj.S):
         assert np.isfinite(a).all()
     assert len(traj.tau) == round(tau / dt) + 1 and traj.x.shape[1:-1] == np.shape(y0)[:-1]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_integration_case(bz.reduced_initial_state, ((6,),)))
+@example((np.array([math.nan, 0.0, 0.0, 0.0, -4.0, 0.0]), -1e-3, 2.0, 0.01))
+@example((np.full(6, bz.BLOWUP), -1e-3, 2.0, 0.01))
+@example((bz.reduced_initial_state(DimensionlessParams(epsilon=-0.0999)), -0.0999, 5.0, 0.02))
+@example((bz.reduced_initial_state(DimensionlessParams(epsilon=-1e-3)), -1e-3, 0.01, 0.01))
+def test_integrate_reduced_returns_finite_states_or_raises(case):
+    """The reduced system returns finite (n + 1, 6) states or raises an error that
+    cli.main maps to an exit code."""
+    y0, eps, tau, dt = case
+    try:
+        grid, states = bz.integrate_reduced(y0, DimensionlessParams(epsilon=eps), tau, dt)
+    except (ValueError, bz.IntegrationUnstableError, OverflowError):
+        return
+    assert states.shape == (round(tau / dt) + 1, 6) and grid.shape == states.shape[:1]
+    assert np.isfinite(states).all()
+
+
+@st.composite
+def _spectral_case(draw):
+    """A field, a span and a step, at most 30 / 6e-3 = 5 / 1e-3 samples, in one draw of
+    four with the span or the step swapped for a special float."""
+    eps = draw(st.floats(-0.0999, 0.0))
+    tau, dt = draw(st.floats(0.0, 30.0)), draw(st.floats(6e-3, 0.07))
+    if draw(st.integers(0, 3)) == 0:
+        if draw(st.booleans()):
+            tau = draw(st.sampled_from([math.nan, math.inf, -1.0]))
+        else:
+            dt = draw(st.sampled_from([math.nan, math.inf, 0.0, -1.0]))
+    return eps, tau, dt
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_spectral_case())
+@example((-1e-3, 5.0, 0.02))
+@example((0.0, 5.0, 1e-3))
+@example((-1e-2, 30.0, 6e-3))
+@example((-0.0999, 5.0, 0.02))
+@example((-1e-9, 5.0, 0.01))
+@example((-1e-3, 0.0, 0.02))  # one sample
+@example((-1e-3, 2.0, 0.02))  # thins to 7 samples
+def test_spectral_frequencies_returns_finite_fast_pairs_or_raises(case):
+    """Both spins' fits carry a finite fast pair and residual, and a slow mode that
+    is finite or NaN; or the call raises ValueError or FitFailureError."""
+    eps, tau, dt = case
+    try:
+        fits = bz.spectral_frequencies(DimensionlessParams(epsilon=eps), tau, dt)
+    except (ValueError, FitFailureError):
+        return
+    assert len(fits) == 2
+    for fit in fits:
+        assert np.isfinite(fit.freqs[1:]).all() and math.isfinite(fit.residual_rms)
+        assert not math.isinf(fit.freqs[0])
 
 
 def test_non_finite_series_raises(monkeypatch):

@@ -49,7 +49,7 @@ def test_roots_format_flag_is_gone(capsys):
 
 
 def _per_value_csv(header, rows):
-    """CSV text formatted one value at a time, the reference for cli._csv."""
+    """CSV text formatted one value at a time, the reference for cli._write_csv."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
@@ -497,7 +497,7 @@ def test_linalg_error_is_numerical(tmp_path, capsys, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(cli.bz, "pencil_frequencies", no_convergence)
+    monkeypatch.setattr(fitting, "pencil_frequencies", no_convergence)
     rc = main(["compare", "--epsilon", "-1e-3", "--fit", "--out", str(tmp_path / "r.json")])
     err = _one_error_line(capsys.readouterr().err)
     assert (rc, err) == (3, {"error": "numerical", "detail": "SVD did not converge"})

@@ -232,7 +232,7 @@ def test_extract_frequency_reads_ten_samples_per_period(monkeypatch):
         seen.append((times, values))
         return fit_sinusoid(times, values)
 
-    monkeypatch.setattr(expectation, "fit_sinusoid", spy)
+    monkeypatch.setattr(fitting, "fit_sinusoid", spy)
     traj = quantum_trajectory(DimensionlessParams(epsilon=-1e-3))
     extract_frequency(traj)
     (times, values), = seen
@@ -275,6 +275,29 @@ def test_phase_enters_with_spin_sign():
 
 
 # ------------------------------------------------------------------ fitting
+
+def test_read_modes_stride_need_not_divide_the_interval_count(monkeypatch):
+    """The classical reader takes every int(FIT_STEP / dt)-th sample: 999 intervals at
+    dt = 0.015 give stride 20 and 50 samples, where the divisor rule would take 9."""
+    seen = []
+
+    def spy(values, dt):
+        seen.append((len(values), dt))
+        return pencil_frequencies(values, dt)
+
+    monkeypatch.setattr(fitting, "pencil_frequencies", spy)
+    t = 0.015 * np.arange(1000)
+    fit = fitting.read_modes(t, np.exp(-2.0j * t) + 0.5 * np.exp(2.1j * t))
+    assert seen == [(50, pytest.approx(0.3, rel=1e-12))]
+    assert fit.freqs[1:] == pytest.approx([2.0, 2.1], rel=1e-9) and math.isnan(fit.freqs[0])
+
+
+def test_read_modes_needs_a_fast_pair():
+    """A single complex tone has no fast pair: FitFailureError, not a failed unpacking."""
+    t = 0.05 * np.arange(2000)
+    with pytest.raises(FitFailureError, match="fast pair"):
+        fitting.read_modes(t, np.exp(-2.0j * t))
+
 
 def test_fit_sinusoid_self_consistency():
     t = np.arange(0, 50, 0.01)
@@ -423,8 +446,14 @@ def _fit_layer_call(name, values, dt, seed):
     if name == "fit_frequencies":
         fit = fit_frequencies(t, values, [seed])
         return np.append(fit.freqs, fit.residual_rms)
+    if name == "read_modes":  # the slow mode is NaN where the pencil finds only the fast pair
+        fit = fitting.read_modes(t, values)
+        slow = 0.0 if math.isnan(fit.freqs[0]) else fit.freqs[0]
+        return np.append(fit.freqs[1:], [slow, fit.residual_rms])
     if name == "fit_sinusoid":
         fit = fit_sinusoid(t, values)
+    elif name == "read_tone":
+        fit = fitting.read_tone(t, values)
     else:
         positions = np.column_stack([values, np.zeros_like(values), np.zeros_like(values)])
         fit = extract_frequency(expectation.Trajectory(times=t, positions=positions))
@@ -432,7 +461,7 @@ def _fit_layer_call(name, values, dt, seed):
 
 
 @pytest.mark.parametrize("name", ["pencil_frequencies", "fit_sinusoid", "fit_frequencies",
-                                  "extract_frequency"])
+                                  "extract_frequency", "read_modes", "read_tone"])
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(0, 2000), dt=st.floats(1e-3, 1.0), amplitude=st.floats(-1e3, 1e3),
        omega=st.floats(0.0, 5.0), offset=st.floats(-1e3, 1e3), seed=st.floats(-10.0, 10.0),

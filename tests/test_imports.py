@@ -50,3 +50,32 @@ def test_all_names_resolve(path):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ lists names it does not define: {missing}"
+
+
+def _private_sibling_names(tree: ast.Module) -> list[tuple[str, int]]:
+    """Underscore-prefixed names taken from a sibling zbwsim module, with their lines:
+    imported by name, or read as an attribute of a sibling module imported whole."""
+    siblings, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("zbwsim")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append((alias.name, node.lineno))
+                if node.module in (None, "zbwsim"):  # from . import bz: a whole module
+                    siblings.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            found.append((f"{node.value.id}.{node.attr}", node.lineno))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_name_crosses_modules(path):
+    """A module reads no private name of a sibling, and only fitting, where every
+    trajectory is thinned and read, names FIT_STEP."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not _private_sibling_names(tree), f"{path.name}: {_private_sibling_names(tree)}"
+    if path.stem != "fitting":
+        assert "FIT_STEP" not in path.read_text(), f"{path.name} names FIT_STEP"
