@@ -371,9 +371,9 @@ def spectral_frequencies(
     """Integrate both spins' field runs in one batch and read each one's three modes.
 
     One :func:`zbwsim.fitting.read_modes` fit of w = v_x + i v_y per spin, in
-    SPINS order; no cubic is consulted.
+    SPINS order; no cubic is consulted.  w views the adjacent v_x, v_y slots as complex.
     """
     runs = [replace(params, spin=spin) for spin in SPINS]
     traj = integrate(np.stack([make_initial_state(p) for p in runs]), params, tau_max, dt)
-    return tuple(read_modes(traj.tau, traj.v[:, k, 1] + 1j * traj.v[:, k, 2])
-                 for k in range(len(SPINS)))
+    w = traj.v[..., 1:3].view(np.complex128)[..., 0]
+    return tuple(read_modes(traj.tau, w[:, k]) for k in range(len(SPINS)))

@@ -12,16 +12,26 @@ has no positron run), and all but landau and sweep need --epsilon or --tesla:
 
 Exit codes: 0 success, 2 configuration or file error, 3 numerical failure or
 out of memory.  Failures print one JSON object ({"error": ..., "detail": ...})
-to stderr.
+to stderr.  BLAS runs on one thread unless OPENBLAS_NUM_THREADS names a count.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from itertools import chain
+
+# One BLAS thread unless the user names a count; OpenBLAS reads it when numpy loads.
+# The largest operand is a (<= 256) x 33 by 33 x 58 matmul, yet numpy's and SciPy's
+# OpenBLAS each start a worker per extra core that spins for about 0.1 s.  On 2 cores,
+# `import zbwsim.cli` took 0.86 s of CPU with them and 0.65 s without (medians of 7
+# processes), and the fitted digits moved by up to 6e-13 with the thread count.  A
+# process that loaded numpy first keeps its own count and an unchanged environment.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -645,6 +645,30 @@ def test_spectral_smoke(monkeypatch):
         assert fit.freqs[-1] == pytest.approx(abs(roots.omega3), rel=1e-4)
 
 
+def test_spectral_read_gets_a_view_of_the_trajectory(monkeypatch):
+    """read_modes receives v_x + i v_y as a complex view of the trajectory, not a copy."""
+    p = DimensionlessParams(epsilon=-1e-3)
+    real_integrate, real_read = bz.integrate, bz.read_modes
+    trajs, reads = [], []
+
+    def integrate(*args):
+        trajs.append(real_integrate(*args))
+        return trajs[-1]
+
+    def read_modes(times, values):
+        reads.append(values)
+        return real_read(times, values)
+
+    monkeypatch.setattr(bz, "integrate", integrate)
+    monkeypatch.setattr(bz, "read_modes", read_modes)
+    bz.spectral_frequencies(p, 50.0, 0.02)
+    (traj,) = trajs
+    assert len(reads) == 2
+    for k, w in enumerate(reads):
+        assert np.shares_memory(w, traj.v)
+        assert np.array_equal(w, traj.v[:, k, 1] + 1j * traj.v[:, k, 2])
+
+
 def test_spectral_slow_mode_is_the_pencil_read_or_nan():
     """The slow mode is the pencil's third mode by amplitude, and NaN where it finds two.
 
