@@ -13,34 +13,52 @@ has no positron run), and all but landau and sweep need --epsilon or --tesla:
 Exit codes: 0 success, 2 configuration or file error, 3 numerical failure or
 out of memory.  Failures print one JSON object ({"error": ..., "detail": ...})
 to stderr.  BLAS runs on one thread unless OPENBLAS_NUM_THREADS names a count.
+The collector skips the heap that the imports leave (gc.freeze) in a zbw process.
 """
 from __future__ import annotations
 
-import argparse
-import json
+import gc
 import os
-import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from itertools import chain
 
-# One BLAS thread unless the user names a count; OpenBLAS reads it when numpy loads.
-# The largest operand is a (<= 256) x 33 by 33 x 58 matmul, yet numpy's and SciPy's
-# OpenBLAS each start a worker per extra core that spins for about 0.1 s.  On 2 cores,
-# `import zbwsim.cli` took 0.86 s of CPU with them and 0.65 s without (medians of 7
-# processes), and the fitted digits moved by up to 6e-13 with the thread count.  A
-# process that loaded numpy first keeps its own count and an unchanged environment.
-if "numpy" not in sys.modules:
+# A process that has not loaded numpy when this module starts is a zbw process; one
+# that has (pytest, the benchmark's in-process workloads, a user's session) keeps its
+# BLAS threads, environment and collector exactly as found.  A zbw process gets:
+# - One BLAS thread unless the user names a count; OpenBLAS reads it when numpy loads.
+#   The largest operand is a (<= 256) x 33 by 33 x 58 matmul, yet numpy's and SciPy's
+#   OpenBLAS each start a worker per extra core that spins for about 0.1 s.  On 2 cores,
+#   `import zbwsim.cli` took 0.86 s of CPU with them and 0.65 s without (medians of 7
+#   processes), and the fitted digits moved by up to 6e-13 with the thread count.
+# - No automatic collection during the imports below, then gc.freeze() and the
+#   collector back as found.  The imports build a heap that lives until exit; CPython
+#   ran about 120 collections (41 ms) over it as it grew, and traversed it all again
+#   at exit.  Frozen (about 87k objects), the command's own collections and the exit
+#   skip it: `zbw roots` took 0.537 s before and 0.430 s after (medians of 11
+#   interleaved processes on 2 cores).
+_ZBW_PROCESS = "numpy" not in sys.modules
+_RESTORE_GC = _ZBW_PROCESS and gc.isenabled()
+if _ZBW_PROCESS:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    gc.disable()
+try:
+    import argparse
+    import json
+    import re
+    from itertools import chain
 
-import numpy as np
+    import numpy as np
 
-from . import bz, svgplot
-from .expectation import extract_frequency, quantum_trajectory
-from .fitting import FitFailureError
-from .packet import LandauLevel, landau_energy
-from .symmetry import APPROACHES, cp_check, discrepancy_report, shift_table
-from .units import CHARGES, SPINS, DimensionlessParams, epsilon_from_tesla
+    from . import bz, svgplot
+    from .expectation import extract_frequency, quantum_trajectory
+    from .fitting import FitFailureError
+    from .packet import LandauLevel, landau_energy
+    from .symmetry import APPROACHES, cp_check, discrepancy_report, shift_table
+    from .units import CHARGES, SPINS, DimensionlessParams, epsilon_from_tesla
+    if _ZBW_PROCESS:
+        gc.freeze()
+finally:
+    if _RESTORE_GC:
+        gc.enable()
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -204,6 +222,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     work = [(eps, ap) for eps in args.epsilons for ap in APPROACHES]
     if args.jobs > 1:
+        # imported here: only a pool run pays for concurrent.futures.process and multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # the pool starts all its workers up front, so start no more than there is work
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(work))) as pool:
             chunks = list(pool.map(_sweep_cell, work))

@@ -124,7 +124,8 @@ def quantum_trajectory(params: DimensionlessParams, t_max: float | None = None,
         dt = TWO_PI / (100.0 * OMEGA_ZBW)
     if t_max is None:
         t_max = 100.0 * TWO_PI / OMEGA_ZBW
-    times = dt * np.arange(step_count(t_max, dt, "t_max") + 1)
+    # times, positions and position_expectation's two (N, 2) temporaries
+    times = dt * np.arange(step_count(t_max, dt, "t_max", 8) + 1)
     return Trajectory(times=times, positions=position_expectation(params, times))
 
 

@@ -12,6 +12,7 @@ convention.  SI tesla values appear only at the conversion boundary.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -96,11 +97,21 @@ def cyclotron_frequency(params: DimensionlessParams) -> float:
     return -params.epsilon * OMEGA_ZBW
 
 
-def step_count(span: float, dt: float, span_name: str) -> int:
+def physical_memory() -> float:
+    """Bytes of physical memory, or inf where the platform does not report them."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+def step_count(span: float, dt: float, span_name: str, values: int) -> int:
     """Number of dt steps that cover [0, span], after checking both.
 
-    Raises ValueError unless dt > 0 and span >= 0 are finite, and
-    OverflowError when no array of that many float64 samples has a size.
+    values is how many float64 values the caller allocates per sample.
+    Raises ValueError unless dt > 0 and span >= 0 are finite, OverflowError
+    when no array of that many float64 samples has a size, and MemoryError
+    when the caller's arrays would exceed physical memory, before any exists.
     """
     if not (math.isfinite(dt) and math.isfinite(span)) or dt <= 0.0 or span < 0.0:
         raise ValueError(f"need finite dt > 0 and {span_name} >= 0, got dt = {dt:g}, "
@@ -109,4 +120,10 @@ def step_count(span: float, dt: float, span_name: str) -> int:
     if not steps < sys.maxsize / 8:
         raise OverflowError(f"{span_name} / dt = {span:g} / {dt:g} = {steps:g} steps, "
                             "more than a float64 array can hold")
-    return int(round(steps))
+    n = int(round(steps))
+    need, have = 8 * values * (n + 1), physical_memory()
+    if need > have:
+        raise MemoryError(f"{span_name} / dt = {span:g} / {dt:g} needs {need:,} bytes "
+                          f"for its {n + 1:,} samples, more than the {have:,} bytes "
+                          "of physical memory")
+    return n

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zbwsim import bz, symmetry
+from zbwsim import bz, symmetry, units
 from zbwsim.fitting import FitFailureError
 from zbwsim.units import DimensionlessParams
 
@@ -382,6 +382,25 @@ def test_integrate_reduced_returns_finite_states_or_raises(case):
         return
     assert states.shape == (round(tau / dt) + 1, 6) and grid.shape == states.shape[:1]
     assert np.isfinite(states).all()
+
+
+@pytest.mark.parametrize("batch, values", [((), 1 + 29), ((2,), 1 + 2 * 29)])
+def test_integrate_checks_its_arrays_against_physical_memory(monkeypatch, batch, values):
+    """tau and the (n + 1, 29 B) output of 1001 samples, against a patched memory size."""
+    y0 = np.broadcast_to(bz.make_initial_state(DimensionlessParams(epsilon=-1e-3)), batch + (28,))
+    need = 8 * values * 1001
+    monkeypatch.setattr(units, "physical_memory", lambda: need - 1)
+    with pytest.raises(MemoryError, match=f"needs {need:,} bytes"):
+        bz.integrate(y0, DimensionlessParams(epsilon=-1e-3), 10.0, 0.01)
+    monkeypatch.setattr(units, "physical_memory", lambda: need)
+    assert len(bz.integrate(y0, DimensionlessParams(epsilon=-1e-3), 10.0, 0.01).tau) == 1001
+
+
+def test_integrate_reduced_checks_its_arrays_against_physical_memory(monkeypatch):
+    monkeypatch.setattr(units, "physical_memory", lambda: 8 * 19 * 1001 - 1)
+    with pytest.raises(MemoryError, match="for its 1,001 samples"):
+        bz.integrate_reduced(bz.reduced_initial_state(DimensionlessParams(epsilon=-1e-3)),
+                             DimensionlessParams(epsilon=-1e-3), 10.0, 0.01)
 
 
 @st.composite

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
+from concurrent import futures
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import zbwsim
-from zbwsim import cli, fitting, svgplot
+from zbwsim import cli, fitting, svgplot, units
 from zbwsim.cli import main
 from zbwsim.fitting import fit_sinusoid
 
@@ -215,7 +216,8 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
         workers.append(max_workers)
         return ProcessPoolExecutor(max_workers=max_workers)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+    # _cmd_sweep imports the pool from concurrent.futures when it runs one
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", pool)
     a = tmp_path / "s.csv"
     assert main(["sweep", "--epsilons", "-1e-3", "--jobs", "1", "--out", str(a)]) == 0
     for jobs in ("2", "6"):
@@ -398,6 +400,25 @@ def test_huge_span_exit_code(tmp_path, argv):
         preexec_fn=_cap_address_space, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 3
     assert _one_error_line(proc.stderr)["error"] == "memory"
+
+
+@pytest.mark.parametrize("argv, values", [
+    (["classical", "--tau-max", "10", "--dt", "0.01"], 1 + 29),  # tau and the 29-slot state
+    (["quantum", "--t-max", "10", "--dt", "0.01"], 8),  # times, positions, two temporaries
+])
+def test_a_span_beyond_physical_memory_exits_3_before_allocating(tmp_path, capsys, monkeypatch,
+                                                                 argv, values):
+    """The planned arrays of 1001 samples are checked against a patched physical memory."""
+    need = 8 * values * 1001
+    out = tmp_path / "x.csv"
+    monkeypatch.setattr(units, "physical_memory", lambda: need - 1)
+    rc = main([*argv, "--epsilon", "-1e-3", "--out", str(out)])
+    err = _one_error_line(capsys.readouterr().err)
+    assert (rc, err["error"]) == (3, "memory")
+    assert f"needs {need:,} bytes for its 1,001 samples" in err["detail"]
+    assert not out.exists()
+    monkeypatch.setattr(units, "physical_memory", lambda: need)
+    assert main([*argv, "--epsilon", "-1e-3", "--out", str(out)]) == 0
 
 
 def test_bad_flag_exit_code(tmp_path, capsys):
