@@ -8,7 +8,8 @@ has no positron run), and all but landau and sweep need --epsilon or --tesla:
     roots      --spin --method --out: characteristic-cubic roots -> JSON
     landau     --n --l --pz --sz --ceb --out: relativistic Landau energy -> JSON
     compare    --fit --out: shift report -> JSON (--fit: with fitted tables) or SVG bars
-    sweep      --epsilons --jobs --out: shift tables over an epsilon list -> CSV
+    sweep      --epsilons --out: shift tables over an epsilon list -> CSV, in this process
+               (--jobs, at least 1, is accepted for existing command lines and changes nothing)
 
 Exit codes: 0 success, 2 configuration or file error, 3 numerical failure or
 out of memory.  Failures print one JSON object ({"error": ..., "detail": ...})
@@ -138,6 +139,7 @@ def _write_csv(path: str, header: list[str], fmt: str, blocks) -> None:
 def _cmd_quantum(args: argparse.Namespace) -> int:
     params = _params_from(args)
     traj = quantum_trajectory(params, t_max=args.t_max, dt=args.dt)
+    fit = extract_frequency(traj) if args.fit else None  # a failed fit leaves no --out file
     if args.out.endswith(".svg"):
         _write(args.out, svgplot.planar_orbit_svg(
             traj.positions[:, 0], traj.positions[:, 1],
@@ -145,8 +147,7 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
     else:
         _write_csv(args.out, ["t", "x", "y", "z"], ",".join([_FLOAT] * 4),
                    _float_blocks(traj.times, traj.positions))
-    if args.fit:
-        fit = extract_frequency(traj)
+    if fit is not None:
         print(json.dumps({"omega": fit.omega, "amplitude": fit.amplitude,
                           "residual_rms": fit.residual_rms}, sort_keys=True))
     return 0
@@ -208,29 +209,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_cell(job: tuple[float, str]) -> list[tuple]:
-    eps, approach = job
-    table = shift_table(approach, DimensionlessParams(epsilon=eps))
-    verdict = cp_check(table).verdict
-    return [
-        (eps, c.charge, c.spin, approach, c.delta_omega, verdict) for c in table.cells
-    ]
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    work = [(eps, ap) for eps in args.epsilons for ap in APPROACHES]
-    if args.jobs > 1:
-        # imported here: only a pool run pays for concurrent.futures.process and multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # the pool starts all its workers up front, so start no more than there is work
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(work))) as pool:
-            chunks = list(pool.map(_sweep_cell, work))
-    else:
-        chunks = [_sweep_cell(j) for j in work]
-    rows = [r for chunk in chunks for r in chunk]
+    rows = []
+    for eps in args.epsilons:
+        for approach in APPROACHES:
+            table = shift_table(approach, DimensionlessParams(epsilon=eps))
+            verdict = cp_check(table).verdict
+            rows += [(eps, c.charge, c.spin, approach, c.delta_omega, verdict)
+                     for c in table.cells]
     rows.sort(key=lambda r: (r[0], r[3], r[1], r[2]))
     _write_csv(args.out, ["epsilon", "charge", "spin", "approach", "delta_omega", "cp_verdict"],
                f"{_FLOAT},%s,%s,%s,{_FLOAT},%s", [rows])
@@ -291,7 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="shift tables over an epsilon list")
     sw.add_argument("--epsilons", type=float, nargs="+", required=True)
-    sw.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
+    sw.add_argument("--jobs", type=int, default=1,
+                    help="accepted for existing command lines (>= 1); the sweep always runs "
+                         "in this process")
     sw.add_argument("--out", required=True)
     sw.set_defaults(func=_cmd_sweep)
     return ap

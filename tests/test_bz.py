@@ -250,6 +250,28 @@ def test_spin_antisymmetry_preserved():
     assert asym <= 1e-12
 
 
+_FLIP = {"up": "down", "down": "up"}
+
+
+@pytest.mark.parametrize("eps", [-1e-4, -1e-3, -1e-2])
+@pytest.mark.parametrize("spin", ["up", "down"])
+def test_charge_conjugated_run_is_the_mirrored_opposite_spin_run(eps, spin):
+    """e enters only through e*B, so e -> -e is epsilon -> -epsilon; at spin s that run
+    is the electron run of spin -s mirrored in y (Feynman, Phys. Rev. 76 (1949) 749).
+
+    The cubic shows why: c1(-eps, s) = c1(eps, -s) and c0(-eps) = -c0(eps).
+    """
+    conj = DimensionlessParams(epsilon=-eps, spin=spin)
+    mirror = DimensionlessParams(epsilon=eps, spin=_FLIP[spin])
+    a = bz.integrate(bz.make_initial_state(conj), conj, 50.0, 0.02)
+    b = bz.integrate(bz.make_initial_state(mirror), mirror, 50.0, 0.02)
+    assert np.array_equal(a.v[:, 1], b.v[:, 1])
+    assert np.array_equal(a.v[:, 2], -b.v[:, 2])
+    ca = bz.characteristic_cubic(conj)
+    assert ca.c1 == bz.characteristic_cubic(mirror).c1
+    assert ca.c0 == -bz.characteristic_cubic(DimensionlessParams(epsilon=eps, spin=spin)).c0
+
+
 def test_integration_blowup_guard():
     params = DimensionlessParams(epsilon=-1e-3)
     for scale in (1e3, 1e5):  # x(0) = 0, so only pi, v, S grow

@@ -9,8 +9,6 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
-from concurrent import futures
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -208,23 +206,14 @@ def test_sweep_deterministic(tmp_path):
     assert lines[0] == "epsilon,charge,spin,approach,delta_omega,cp_verdict"
 
 
-def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
-    """Parallel sweeps write the serial bytes; no more workers start than work items (3)."""
-    workers = []
-
-    def pool(max_workers):
-        workers.append(max_workers)
-        return ProcessPoolExecutor(max_workers=max_workers)
-
-    # _cmd_sweep imports the pool from concurrent.futures when it runs one
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", pool)
+def test_sweep_parallel_matches_serial(tmp_path):
+    """--jobs is accepted for existing command lines and changes no byte of the sweep."""
     a = tmp_path / "s.csv"
-    assert main(["sweep", "--epsilons", "-1e-3", "--jobs", "1", "--out", str(a)]) == 0
-    for jobs in ("2", "6"):
+    assert main(["sweep", "--epsilons", "-1e-3", "--out", str(a)]) == 0
+    for jobs in ("1", "2", "6"):
         b = tmp_path / f"p{jobs}.csv"
         assert main(["sweep", "--epsilons", "-1e-3", "--jobs", jobs, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
-    assert workers == [2, 3]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-5"])
@@ -341,6 +330,22 @@ def test_zero_span_outputs(tmp_path, capsys):
     rc = main(["quantum", "--epsilon", "-1e-3", "--t-max", "0", "--fit", "--out", str(csv)])
     assert rc == 2
     assert "at least 8 samples" in _one_error_line(capsys.readouterr().err)["detail"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--t-max", "3"],                       # fewer than 3 periods
+    ["--t-max", "0"],                       # fewer than 8 samples
+    ["--t-max", "1e-7", "--dt", "1e-9"],    # too short to thin
+])
+@pytest.mark.parametrize("suffix", [".csv", ".svg"])
+def test_a_failed_quantum_fit_writes_no_file(tmp_path, capsys, argv, suffix):
+    """The fit runs before the orbit is written, as every failing command leaves no --out."""
+    out = tmp_path / f"q{suffix}"
+    assert main(["quantum", "--epsilon", "-1e-3", *argv, "--fit", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert _one_error_line(captured.err)["error"] == "config"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_quantum_fit_keeps_a_span_just_over_three_periods(tmp_path, capsys):
@@ -473,7 +478,11 @@ def _commands() -> dict[str, argparse.ArgumentParser]:
 
 
 def test_option_table_names_every_option():
-    """Every option but --out and --jobs has a row in _OPTION_VALUES."""
+    """Every option but --out and --jobs has a row in _OPTION_VALUES.
+
+    --jobs is exempt because it changes nothing: the sweep always runs in the zbw
+    process, and the option is accepted only so that existing command lines still work.
+    """
     commands = _commands()
     assert set(commands) == set(_BASE_ARGS)
     for name, parser in commands.items():
@@ -584,12 +593,13 @@ def test_cli_exit_contract(case):
     argv, suffix = case
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as d, redirect_stdout(out), redirect_stderr(err):
-        if suffix is not None:
-            argv = [*argv, "--out", os.path.join(d, "out" + suffix)]
-        rc = main(argv)
+        path = None if suffix is None else os.path.join(d, "out" + suffix)
+        rc = main(argv if path is None else [*argv, "--out", path])
+        written = path is not None and os.path.exists(path)
     assert rc in (0, 2, 3)
     if rc:
         assert "error" in _one_error_line(err.getvalue())
+        assert not written  # a failing command leaves no --out file
     else:
         assert err.getvalue() == ""
         if out.getvalue():

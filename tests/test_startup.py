@@ -5,6 +5,9 @@ with automatic collection off, then freezes what they left (gc.freeze) and
 puts the collector back as it found it.  A process that loaded numpy first is
 left alone.  Each case starts a fresh interpreter, since both depend on what
 the process loaded before zbwsim.cli, and prints its findings as JSON.
+
+No zbw process imports a process pool: every command, sweep included, runs in
+the zbw process itself.
 """
 import json
 import os
@@ -60,5 +63,24 @@ def test_a_collector_switched_off_stays_off():
 
 
 def test_the_import_leaves_the_process_pool_out():
-    """Only sweep --jobs > 1 imports concurrent.futures.process (and multiprocessing)."""
+    """Importing zbwsim.cli loads neither concurrent.futures.process nor multiprocessing."""
     assert _child()["pool"] is False
+
+
+def test_a_sweep_with_jobs_starts_no_process_pool(tmp_path):
+    """sweep --jobs 2 runs in the zbw process: no module of a pool is ever imported.
+
+    -X importtime lists on stderr every module the process imports, workers' included.
+    """
+    out = tmp_path / "s.csv"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "zbwsim.cli", "sweep",
+         "--epsilons", "-1e-3", "-1e-4", "--jobs", "2", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "zbwsim.symmetry" in imported
+    assert not {"concurrent.futures.process", "multiprocessing"} & imported
+    assert len(out.read_text().splitlines()) == 1 + 2 * 3 * 4
